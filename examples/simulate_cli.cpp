@@ -8,7 +8,7 @@
 //   simulate_cli --list                             # enumerate all components
 //   simulate_cli --topo=grid:rows=4,cols=6 --algo=max-jump --horizon=500
 //   simulate_cli --topo=line --n=32 --drift=blocks:period=100
-//   simulate_cli --topo=geometric --n=24 --churn=0.05 --gskew=distributed
+//   simulate_cli --topo=geometric --n=24 --adversary=churn:rate=0.05 --gskew=distributed
 //   simulate_cli --sweep=n --values=8,16,32 --threads=4
 //   simulate_cli --trace=trace.csv --series=skew.csv
 #include <iostream>

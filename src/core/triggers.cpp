@@ -3,12 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/simd.h"
-
-#if defined(GCS_SIMD_AVX2_DISPATCH)
-#include <immintrin.h>
-#endif
-
 namespace gcs {
 
 TriggerAggregates compute_trigger_aggregates(const LevelPeer* peers,
@@ -25,19 +19,30 @@ TriggerAggregates compute_trigger_aggregates(const LevelPeer* peers,
   return agg;
 }
 
-namespace {
+TriggerDecision evaluate_triggers(const LevelPeer* peers, std::size_t count,
+                                  const TriggerAggregates& agg, double max_abs,
+                                  double mu, double rho, int level_cap) {
+  if (!agg.any || agg.kappa_min <= 0.0) return TriggerDecision{};
 
-// The per-level scan, extracted so the scalar reference and the vector
-// kernel share the surrounding quick-reject / s_stop derivation and differ
-// ONLY in how the (level x peer) condition grid is evaluated. The scalar
-// form below is the bit-exact reference every trajectory fingerprint pins;
-// the vector form must replicate its IEEE operation sequence per lane (same
-// mul/add/sub groupings, no FMA) and is licensed by test_fingerprint
-// proving hash equality on every pinned row (docs/ARCHITECTURE.md
-// "Fingerprint pinning").
-TriggerDecision evaluate_levels_scalar(const LevelPeer* peers,
-                                       std::size_t count, int s_stop,
-                                       double mu, double rho) {
+  const double ratio = (max_abs + agg.max_eps + agg.max_delta) / agg.kappa_min;
+  // Quick rejection, the steady-state common case: with
+  // max_abs + max ε + max δ < κ_min, no peer can satisfy either existential
+  // condition at any level s >= 1 —
+  //   ahead  <= max_abs < κ_min − max ε − max δ <= s·κ_e − ε_e, and
+  //   behind <= max_abs < κ_min − max ε − max δ <= (s+0.5)·κ_e − δ_e − ε_e —
+  // and without an existential witness neither trigger fires regardless of
+  // the blocking clauses, so the per-level scan would find nothing. The
+  // threshold keeps a 1e-9 relative margin so the handful of roundings in
+  // `ratio` can never disagree with the scan's own rounded comparisons;
+  // ratios inside the margin just take the full scan.
+  if (ratio < 1.0 - 1e-9) return TriggerDecision{};
+  // floor() via integer truncation: the ratio is non-negative, where the two
+  // agree — and std::floor is a libm CALL at baseline x86-64, once per
+  // re-evaluation. Huge ratios (corrupt clocks) saturate to level_cap.
+  const long long whole =
+      ratio < 1e18 ? static_cast<long long>(ratio) : (1LL << 60);
+  const int s_stop = std::min<long long>(level_cap, whole + 2);
+
   TriggerDecision decision;
   for (int s = 1; s <= s_stop; ++s) {
     // Accumulate the per-peer conditions branchlessly: the comparisons are
@@ -82,153 +87,6 @@ TriggerDecision evaluate_levels_scalar(const LevelPeer* peers,
     if (decision.fast && decision.slow) break;  // Lemma 5.3 violation; caller asserts
   }
   return decision;
-}
-
-#if defined(GCS_SIMD_AVX2_DISPATCH)
-
-// Four LEVELS per iteration, peers broadcast. The level axis is the long
-// one on this workload (s_stop grows with discrepancy/κ while line/ring
-// degree is 2), and vectorizing it keeps every lane running the scalar
-// path's exact operation sequence — lane ℓ of each intrinsic computes
-// precisely what the scalar loop computes at s = s0 + ℓ:
-//
-//   sd·κ − ε                  mul, sub            (fast existential)
-//   (sd·κ + (2µ)·τ) + ε       mul, add, add       (fast blocking)
-//   ((sd+½)·κ − δ) − ε        add, mul, sub, sub  (slow existential)
-//   (((sd+½)·κ + δ) + ε) + m  add, mul, 3×add     (slow blocking)
-//
-// with the peer-constant subexpressions ((2.0·µ)·τ and (µ·(1+ρ))·τ)
-// computed in SCALAR double exactly as the reference does. No FMA
-// intrinsics, no reassociation; the TU stays at baseline ISA (the target
-// attribute applies to this function only) so the compiler cannot contract
-// the scalar reference either. Comparisons are ordered-quiet, matching the
-// IEEE semantics of the scalar >=, >.
-//
-// Lane results are then consumed IN LANE ORDER with the same early exits
-// as the scalar loop (membership break, first-witness level recording,
-// both-triggers break), so extra lanes computed past a scalar break point
-// are simply discarded — observable behavior is identical, which the
-// pinned fingerprint rows assert end-to-end.
-__attribute__((target("avx2"))) TriggerDecision evaluate_levels_avx2(
-    const LevelPeer* peers, std::size_t count, int s_stop, double mu,
-    double rho) {
-  TriggerDecision decision;
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d ones = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-  const __m256d half = _mm256_set1_pd(0.5);
-  for (int s0 = 1; s0 <= s_stop; s0 += 4) {
-    const __m256d sd = _mm256_setr_pd(
-        static_cast<double>(s0), static_cast<double>(s0 + 1),
-        static_cast<double>(s0 + 2), static_cast<double>(s0 + 3));
-    const __m256d sdh = _mm256_add_pd(sd, half);
-    __m256d member = zero;
-    __m256d fast_exists = zero;
-    __m256d fast_blocked = zero;
-    __m256d slow_exists = zero;
-    __m256d slow_blocked = zero;
-    for (std::size_t i = 0; i < count; ++i) {
-      const LevelPeer& p = peers[i];
-      const __m256d level_limit =
-          _mm256_set1_pd(static_cast<double>(p.level_limit));
-      const __m256d in_level = _mm256_cmp_pd(level_limit, sd, _CMP_GE_OQ);
-      member = _mm256_or_pd(member, in_level);
-      const __m256d est = p.has_estimate ? ones : zero;
-      const __m256d certifiable = _mm256_and_pd(in_level, est);
-      const __m256d no_estimate = _mm256_andnot_pd(est, in_level);
-      fast_blocked = _mm256_or_pd(fast_blocked, no_estimate);
-      slow_blocked = _mm256_or_pd(slow_blocked, no_estimate);
-      const __m256d kappa = _mm256_set1_pd(p.kappa);
-      const __m256d eps = _mm256_set1_pd(p.eps);
-      const __m256d delta = _mm256_set1_pd(p.delta);
-      const __m256d ahead = _mm256_set1_pd(p.est_minus_own);
-      const __m256d behind = _mm256_set1_pd(-p.est_minus_own);
-      const __m256d sk = _mm256_mul_pd(sd, kappa);
-      fast_exists = _mm256_or_pd(
-          fast_exists,
-          _mm256_and_pd(certifiable,
-                        _mm256_cmp_pd(ahead, _mm256_sub_pd(sk, eps),
-                                      _CMP_GE_OQ)));
-      const __m256d fast_gate = _mm256_add_pd(
-          _mm256_add_pd(sk, _mm256_set1_pd(2.0 * mu * p.tau)), eps);
-      fast_blocked = _mm256_or_pd(
-          fast_blocked,
-          _mm256_and_pd(certifiable,
-                        _mm256_cmp_pd(behind, fast_gate, _CMP_GT_OQ)));
-      const __m256d shk = _mm256_mul_pd(sdh, kappa);
-      slow_exists = _mm256_or_pd(
-          slow_exists,
-          _mm256_and_pd(
-              certifiable,
-              _mm256_cmp_pd(behind,
-                            _mm256_sub_pd(_mm256_sub_pd(shk, delta), eps),
-                            _CMP_GE_OQ)));
-      const __m256d slow_gate = _mm256_add_pd(
-          _mm256_add_pd(_mm256_add_pd(shk, delta), eps),
-          _mm256_set1_pd(mu * (1.0 + rho) * p.tau));
-      slow_blocked = _mm256_or_pd(
-          slow_blocked,
-          _mm256_and_pd(certifiable,
-                        _mm256_cmp_pd(ahead, slow_gate, _CMP_GT_OQ)));
-    }
-    const int m_member = _mm256_movemask_pd(member);
-    const int m_fe = _mm256_movemask_pd(fast_exists);
-    const int m_fb = _mm256_movemask_pd(fast_blocked);
-    const int m_se = _mm256_movemask_pd(slow_exists);
-    const int m_sb = _mm256_movemask_pd(slow_blocked);
-    for (int lane = 0; lane < 4; ++lane) {
-      const int s = s0 + lane;
-      if (s > s_stop) return decision;
-      if ((m_member >> lane & 1) == 0) return decision;  // nested: all empty
-      if ((m_fe >> lane & 1) != 0 && (m_fb >> lane & 1) == 0 &&
-          !decision.fast) {
-        decision.fast = true;
-        decision.fast_level = s;
-      }
-      if ((m_se >> lane & 1) != 0 && (m_sb >> lane & 1) == 0 &&
-          !decision.slow) {
-        decision.slow = true;
-        decision.slow_level = s;
-      }
-      if (decision.fast && decision.slow) return decision;
-    }
-  }
-  return decision;
-}
-
-#endif  // GCS_SIMD_AVX2_DISPATCH
-
-}  // namespace
-
-TriggerDecision evaluate_triggers(const LevelPeer* peers, std::size_t count,
-                                  const TriggerAggregates& agg, double max_abs,
-                                  double mu, double rho, int level_cap) {
-  if (!agg.any || agg.kappa_min <= 0.0) return TriggerDecision{};
-
-  const double ratio = (max_abs + agg.max_eps + agg.max_delta) / agg.kappa_min;
-  // Quick rejection, the steady-state common case: with
-  // max_abs + max ε + max δ < κ_min, no peer can satisfy either existential
-  // condition at any level s >= 1 —
-  //   ahead  <= max_abs < κ_min − max ε − max δ <= s·κ_e − ε_e, and
-  //   behind <= max_abs < κ_min − max ε − max δ <= (s+0.5)·κ_e − δ_e − ε_e —
-  // and without an existential witness neither trigger fires regardless of
-  // the blocking clauses, so the per-level scan would find nothing. The
-  // threshold keeps a 1e-9 relative margin so the handful of roundings in
-  // `ratio` can never disagree with the scan's own rounded comparisons;
-  // ratios inside the margin just take the full scan.
-  if (ratio < 1.0 - 1e-9) return TriggerDecision{};
-  // floor() via integer truncation: the ratio is non-negative, where the two
-  // agree — and std::floor is a libm CALL at baseline x86-64, once per
-  // re-evaluation. Huge ratios (corrupt clocks) saturate to level_cap.
-  const long long whole =
-      ratio < 1e18 ? static_cast<long long>(ratio) : (1LL << 60);
-  const int s_stop = std::min<long long>(level_cap, whole + 2);
-
-#if defined(GCS_SIMD_AVX2_DISPATCH)
-  if (simd::enabled()) {
-    return evaluate_levels_avx2(peers, count, s_stop, mu, rho);
-  }
-#endif
-  return evaluate_levels_scalar(peers, count, s_stop, mu, rho);
 }
 
 TriggerDecision evaluate_triggers(const LevelPeer* peers, std::size_t count,

@@ -111,19 +111,13 @@ bool wire_decode(const std::uint8_t* buf, std::size_t len, WireMsg& out) {
   const std::uint8_t* p = buf;
   const std::uint16_t body = get<std::uint16_t>(p);
   if (static_cast<std::size_t>(body) + 2 != len) return false;
-  const std::uint8_t version = get<std::uint8_t>(p);
-  std::size_t payload_end = len;
-  if (version == kWireVersion) {
-    // Integrity first: no field is trusted until the trailer checks out.
-    if (len < kHeader + kWireCrcBytes) return false;
-    const std::uint8_t* crc_p = buf + len - kWireCrcBytes;
-    if (get<std::uint32_t>(crc_p) != crc32c(buf, len - kWireCrcBytes)) {
-      return false;
-    }
-    payload_end = len - kWireCrcBytes;
-  } else if (version != kWireVersionLegacy) {
-    return false;  // unknown version: drop, never guess at the layout
-  }
+  // Unknown version (v1 included): drop, never guess at the layout.
+  if (get<std::uint8_t>(p) != kWireVersion) return false;
+  // Integrity first: no field is trusted until the trailer checks out.
+  if (len < kHeader + kWireCrcBytes) return false;
+  const std::size_t payload_end = len - kWireCrcBytes;
+  const std::uint8_t* crc_p = buf + payload_end;
+  if (get<std::uint32_t>(crc_p) != crc32c(buf, payload_end)) return false;
   const std::uint8_t tag = get<std::uint8_t>(p);
   out.from = static_cast<NodeId>(get<std::uint32_t>(p));
   out.to = static_cast<NodeId>(get<std::uint32_t>(p));

@@ -10,7 +10,7 @@
 //   u32 from, u32 to
 //   f64 sent_at  (sender model time)
 //   payload fields (fixed per tag, doubles and u32s, little-endian)
-//   u32 crc32c   (v2+: Castagnoli CRC of every preceding byte, length
+//   u32 crc32c   (Castagnoli CRC of every preceding byte, length
 //                 prefix included)
 //
 // The prefix is redundant for UDP (datagram boundaries frame for free) but
@@ -20,10 +20,9 @@
 // must not silently follow compiler padding.
 //
 // Version history. v1 had no integrity trailer: a flipped payload bit
-// decoded into a plausible message. v2 appends the CRC32C trailer; the
-// decoder verifies it before looking at any field and still accepts v1
-// frames for one release so mixed-version clusters can upgrade node by
-// node (encoders always emit v2).
+// decoded into a plausible message. v2 appends the CRC32C trailer, which
+// the decoder verifies before looking at any field. v2 is the only version
+// encoded or decoded; v1 frames are dropped like any unknown version.
 #pragma once
 
 #include <cstddef>
@@ -45,9 +44,7 @@ struct WireMsg {
 };
 
 inline constexpr std::uint8_t kWireVersion = 2;
-/// Still accepted on decode (one-release migration window); never emitted.
-inline constexpr std::uint8_t kWireVersionLegacy = 1;
-/// Bytes of the v2 CRC32C trailer.
+/// Bytes of the CRC32C trailer.
 inline constexpr std::size_t kWireCrcBytes = 4;
 /// Largest encoded frame (header + widest payload alternative + trailer).
 inline constexpr std::size_t kWireMax = 64;
@@ -61,7 +58,7 @@ inline constexpr std::size_t kWireMax = 64;
 std::size_t wire_encode(const WireMsg& m, std::uint8_t* buf);
 
 /// Decode one frame. False on truncation, bad version, bad tag, a length
-/// prefix disagreeing with `len`, or (v2) a CRC mismatch — the CRC is
+/// prefix disagreeing with `len`, or a CRC mismatch — the CRC is
 /// checked before any field is interpreted. `deliver_at` is left at 0.
 bool wire_decode(const std::uint8_t* buf, std::size_t len, WireMsg& out);
 

@@ -6,90 +6,6 @@
 
 namespace gcs {
 
-const char* to_string(AlgoKind kind) {
-  switch (kind) {
-    case AlgoKind::kAopt: return "AOPT";
-    case AlgoKind::kMaxJump: return "max-jump";
-    case AlgoKind::kBoundedRateMax: return "bounded-rate-max";
-    case AlgoKind::kFreeRunning: return "free-running";
-  }
-  return "?";
-}
-
-ScenarioSpec to_spec(const ScenarioConfig& config) {
-  ScenarioSpec spec;
-  spec.name = config.name;
-  spec.n = config.n;
-  spec.seed = config.seed;
-  spec.topology = ComponentSpec("explicit");
-  spec.explicit_edges = config.initial_edges;
-  spec.edge_params = config.edge_params;
-  spec.aopt = config.aopt;
-  spec.engine = config.engine;
-  spec.detection = config.detection;
-  spec.delays = config.delays;
-  spec.reference_node = config.reference_node;
-
-  switch (config.algo) {
-    case AlgoKind::kAopt: spec.algo = ComponentSpec("aopt"); break;
-    case AlgoKind::kMaxJump: spec.algo = ComponentSpec("max-jump"); break;
-    case AlgoKind::kBoundedRateMax: spec.algo = ComponentSpec("bounded-rate-max"); break;
-    case AlgoKind::kFreeRunning: spec.algo = ComponentSpec("free-running"); break;
-  }
-
-  switch (config.drift) {
-    case DriftKind::kNone:
-      spec.drift = ComponentSpec("none");
-      break;
-    case DriftKind::kLinearSpread:
-      spec.drift = ComponentSpec("spread");
-      break;
-    case DriftKind::kAlternatingBlocks:
-      spec.drift = ComponentSpec("blocks");
-      spec.drift.params.set("period", config.drift_block_period);
-      spec.drift.params.set("blocks", config.drift_blocks);
-      break;
-    case DriftKind::kRandomWalk:
-      spec.drift = ComponentSpec("walk");
-      spec.drift.params.set("period", config.drift_walk_period);
-      spec.drift.params.set("std", config.drift_walk_std);
-      break;
-    case DriftKind::kSinusoidal:
-      spec.drift = ComponentSpec("sine");
-      spec.drift.params.set("period", config.drift_sine_period);
-      break;
-  }
-
-  switch (config.estimates) {
-    case EstimateKind::kOracleZero: spec.estimates = ComponentSpec("zero"); break;
-    case EstimateKind::kOracleUniform: spec.estimates = ComponentSpec("uniform"); break;
-    case EstimateKind::kOracleAdversarial:
-      spec.estimates = ComponentSpec("adversarial");
-      break;
-    case EstimateKind::kBeacon: spec.estimates = ComponentSpec("beacon"); break;
-  }
-
-  switch (config.gskew) {
-    case GskewKind::kStatic:
-      spec.gskew = ComponentSpec("static");
-      break;
-    case GskewKind::kOracle:
-      spec.gskew = ComponentSpec("oracle");
-      spec.gskew.params.set("factor", config.gskew_factor);
-      spec.gskew.params.set("margin", config.gskew_margin);
-      break;
-    case GskewKind::kDistributed:
-      spec.gskew = ComponentSpec("distributed");
-      if (config.gskew_diameter_hint > 0.0) {
-        spec.gskew.params.set("hint", config.gskew_diameter_hint);
-      }
-      break;
-  }
-  return spec;
-}
-
-Scenario::Scenario(const ScenarioConfig& config) : Scenario(to_spec(config)) {}
-
 TopologyResult materialize_topology(const ScenarioSpec& spec) {
   Rng topo_rng(spec.seed);
   TopologyArgs targs{spec.n, topo_rng, &spec.explicit_edges};

@@ -7,8 +7,7 @@
 // ScenarioSpec (topology, algorithm, drift, estimates, gskew, adversary) is
 // resolved by name against the component registries, so adding a variant
 // means one registration site next to its implementation — no switch
-// statements here. The legacy enum-based ScenarioConfig survives as a thin
-// deprecated shim that converts to a ScenarioSpec.
+// statements here.
 #pragma once
 
 #include <memory>
@@ -31,80 +30,9 @@
 
 namespace gcs {
 
-// ---------------------------------------------------------------------------
-// Legacy enum-based configuration (deprecated shim; use ScenarioSpec).
-
-enum class AlgoKind { kAopt, kMaxJump, kBoundedRateMax, kFreeRunning };
-[[nodiscard]] const char* to_string(AlgoKind kind);
-
-enum class DriftKind {
-  kNone,               ///< all rates exactly 1
-  kLinearSpread,       ///< maximally divergent constant rates
-  kAlternatingBlocks,  ///< block-sign drift flipping every period
-  kRandomWalk,
-  kSinusoidal,         ///< temperature-cycle style oscillation
-};
-
-enum class EstimateKind {
-  kOracleZero,
-  kOracleUniform,
-  kOracleAdversarial,
-  kBeacon,
-};
-
-enum class GskewKind {
-  kStatic,       ///< the a-priori constant G̃ of §4–§5 (eq. 6)
-  kOracle,       ///< §7 estimates assumed given: factor·G(t) + margin
-  kDistributed,  ///< §7 estimates computed from flooded max/min bounds
-};
-
-/// Deprecated: the pre-registry flat configuration. Convert with to_spec().
-struct ScenarioConfig {
-  std::string name = "scenario";
-  int n = 8;
-  std::vector<EdgeKey> initial_edges;  ///< created instantly at t=0 (fully inserted)
-  EdgeParams edge_params;              ///< applied to every edge (initial + churn)
-
-  AlgoKind algo = AlgoKind::kAopt;
-  AlgoParams aopt;
-
-  DriftKind drift = DriftKind::kLinearSpread;
-  Duration drift_block_period = 200.0;  ///< kAlternatingBlocks
-  int drift_blocks = 2;                 ///< kAlternatingBlocks
-  Duration drift_walk_period = 10.0;    ///< kRandomWalk
-  double drift_walk_std = 0.0;          ///< kRandomWalk (0 => rho/4)
-
-  EstimateKind estimates = EstimateKind::kOracleUniform;
-  EngineConfig engine;
-
-  /// Source of G̃_u(t) (§7).
-  GskewKind gskew = GskewKind::kStatic;
-  double gskew_factor = 2.0;         ///< oracle: G̃_u = factor·G(t) + margin
-  double gskew_margin = 1.0;         ///< oracle margin
-  double gskew_diameter_hint = 0.0;  ///< distributed: D̂ (0 = derive from topology)
-
-  DetectionDelayMode detection = DetectionDelayMode::kUniform;
-  DelayMode delays = DelayMode::kUniform;
-
-  /// §3 remark: run this node (1+ρ)/(1−ρ) faster so it always carries the
-  /// maximum clock; aopt.rho is widened to the effective ρ̃ automatically.
-  NodeId reference_node = kNoNode;
-
-  Duration drift_sine_period = 400.0;  ///< kSinusoidal
-
-  std::uint64_t seed = 1;
-};
-
-/// Convert a legacy config into the registry-driven spec (lossless).
-[[nodiscard]] ScenarioSpec to_spec(const ScenarioConfig& config);
-
-// ---------------------------------------------------------------------------
-
 class Scenario {
  public:
   explicit Scenario(ScenarioSpec spec);
-  /// Deprecated shim: builds from to_spec(config).
-  explicit Scenario(const ScenarioConfig& config);
 
   /// Build the t=0 topology, start the engine and arm the adversary.
   /// Call once, then run. Throws on a second call.

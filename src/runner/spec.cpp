@@ -190,30 +190,6 @@ void ScenarioSpec::set(const std::string& key, const std::string& value) {
   }
   if (key == "island_budget") { island_budget = to_int(key, value); return; }
 
-  // Legacy CLI aliases kept so seed-era command lines still work.
-  if (key == "rows" || key == "cols" || key == "dim" || key == "k" || key == "path" ||
-      key == "p" || key == "radius") {
-    topology.params.set(key, value);
-    return;
-  }
-  if (key == "block_period" || key == "sine_period" || key == "walk_period") {
-    drift.params.set("period", value);
-    return;
-  }
-  if (key == "blocks") { drift.params.set("blocks", value); return; }
-  if (key == "walk_std") { drift.params.set("std", value); return; }
-  if (key == "churn") {
-    const double rate = to_double(key, value);
-    if (rate > 0.0) {
-      adversary.kind = "churn";
-      adversary.params.set("rate", value);
-    }
-    return;
-  }
-  if (key == "gskew_factor") { gskew.params.set("factor", value); return; }
-  if (key == "gskew_margin") { gskew.params.set("margin", value); return; }
-  if (key == "gskew_hint") { gskew.params.set("hint", value); return; }
-
   throw std::runtime_error("spec: unknown key '" + key + "'\naccepted keys:\n" +
                            key_help());
 }
@@ -226,7 +202,7 @@ ScenarioSpec ScenarioSpec::from_flags(const Flags& flags,
            key == "estimates" || key == "gskew" || key == "adversary";
   };
   // Apply component selectors first: selecting a component resets its params,
-  // so "--topo=grid --rows=3" must work regardless of flag-map iteration
+  // so "--topo=grid --topo.rows=3" must work regardless of flag-map iteration
   // order.
   for (const bool components_pass : {true, false}) {
     for (const auto& [key, value] : flags.all()) {
@@ -304,14 +280,14 @@ void ScenarioSpec::validate() const {
 std::string ScenarioSpec::key_help() {
   std::ostringstream os;
   os << "  name, n, seed\n"
-     << "  topo=<kind>[:k=v,...]       (see --list; also topo.<param>=<v>, plus\n"
-     << "                               legacy aliases rows/cols/dim/k/path/p/radius)\n"
+     << "  topo=<kind>[:k=v,...]       (see --list)\n"
      << "  algo=<kind>[:k=v,...]\n"
-     << "  drift=<kind>[:k=v,...]      (aliases block_period/blocks/walk_period/\n"
-     << "                               walk_std/sine_period)\n"
+     << "  drift=<kind>[:k=v,...]\n"
      << "  estimates=<kind>[:k=v,...]\n"
-     << "  gskew=<kind>[:k=v,...]      (aliases gskew_factor/gskew_margin/gskew_hint)\n"
-     << "  adversary=<kind>[:k=v,...]  (alias churn=<rate>)\n"
+     << "  gskew=<kind>[:k=v,...]\n"
+     << "  adversary=<kind>[:k=v,...]\n"
+     << "  <component>.<param>=<v>     (one param of the selected kind, e.g.\n"
+     << "                               topo.rows=3, adversary.rate=0.1)\n"
      << "  rho, mu, iota, kappa_slack, delta_frac, B, level_cap\n"
      << "  gtilde=<value|auto>, insertion=staged|dynamic|immediate|decay\n"
      << "  eps, tau, delay_max, delay_min\n"

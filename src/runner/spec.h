@@ -90,8 +90,7 @@ struct ScenarioSpec {
   /// THE shared parsing path: apply one key=value assignment. Accepts
   /// component keys ("drift=walk:period=5"), dotted component params
   /// ("drift.period=5"), model scalars ("mu=0.1", "eps=0.05"), engine knobs
-  /// ("beacon_period=0.5") and legacy CLI aliases ("rows", "blocks", ...).
-  /// Throws on unknown keys or malformed values.
+  /// ("beacon_period=0.5"). Throws on unknown keys or malformed values.
   void set(const std::string& key, const std::string& value);
   void set(const std::string& key, double value) { set(key, ParamMap::format(value)); }
   void set(const std::string& key, int value) { set(key, std::to_string(value)); }

@@ -183,10 +183,11 @@ TEST(Wire, CrcCatchesEverySingleBitFlip) {
   }
 }
 
-TEST(Wire, StillAcceptsLegacyV1Frames) {
-  // One release of compatibility: a v1 frame (no CRC trailer) from an
-  // old peer must still decode. Synthesized from a v2 encode by stripping
-  // the trailer and rewriting the version byte + length prefix.
+TEST(Wire, RejectsLegacyV1Frames) {
+  // v2 is the only accepted version: a well-formed v1 frame (no CRC
+  // trailer) from an old peer is dropped like any unknown version.
+  // Synthesized from a v2 encode by stripping the trailer and rewriting the
+  // version byte + length prefix.
   WireMsg m;
   m.from = 4;
   m.to = 5;
@@ -199,21 +200,17 @@ TEST(Wire, StillAcceptsLegacyV1Frames) {
   const std::size_t v1_body = v1_len - 2;  // the prefix counts bytes after it
   buf[0] = static_cast<std::uint8_t>(v1_body & 0xFF);
   buf[1] = static_cast<std::uint8_t>(v1_body >> 8);
-  buf[2] = kWireVersionLegacy;
+  buf[2] = 1;
   WireMsg out;
-  ASSERT_TRUE(wire_decode(buf, v1_len, out));
-  EXPECT_EQ(out.from, 4);
-  EXPECT_EQ(out.to, 5);
-  EXPECT_DOUBLE_EQ(out.sent_at, 6.5);
-  ASSERT_TRUE(std::holds_alternative<Beacon>(out.payload));
-  EXPECT_DOUBLE_EQ(std::get<Beacon>(out.payload).logical, 1.25);
+  EXPECT_FALSE(wire_decode(buf, v1_len, out));
 }
 
 TEST(Wire, FuzzNeverCrashesNeverAcceptsACorruptV2Frame) {
-  // Satellite hardening gate: 10k seeded adversarial buffers. Random bytes
-  // and truncations must never crash the decoder, and no version-2 frame
-  // may ever decode with a wrong CRC (a random buffer could legitimately
-  // parse as v1 — that's what the one-release compatibility window costs).
+  // Hardening gate: 10k seeded adversarial buffers. Random bytes and
+  // truncations must never crash the decoder, and nothing but an intact
+  // frame may decode: CRC32C catches every error of at most 4 bits in
+  // frames of at most 512 bits, and a noise buffer would need a matching
+  // length prefix, version byte and CRC at once.
   Rng rng(0xf0220);
   std::uint8_t buf[kWireMax];
   WireMsg out;
@@ -234,8 +231,7 @@ TEST(Wire, FuzzNeverCrashesNeverAcceptsACorruptV2Frame) {
     // ...every truncation is rejected...
     const std::size_t cut = rng.below(len);
     EXPECT_FALSE(wire_decode(buf, cut, out)) << "truncated to " << cut;
-    // ...any 1..4 bit flips never decode as v2 with a bad CRC (single
-    // flips are guaranteed-caught; multi flips must at least never crash).
+    // ...and so is every frame with 1..4 bits flipped.
     const int flips = 1 + static_cast<int>(rng.below(4));
     std::vector<std::size_t> bits;
     while (static_cast<int>(bits.size()) < flips) {
@@ -246,18 +242,14 @@ TEST(Wire, FuzzNeverCrashesNeverAcceptsACorruptV2Frame) {
       bits.push_back(bit);
       buf[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
     }
-    if (wire_decode(buf, len, out)) {
-      EXPECT_EQ(buf[2], kWireVersionLegacy)
-          << "iter " << iter << ": a corrupt v2 frame slipped past the CRC";
-    }
-    // Pure noise: arbitrary bytes at arbitrary length must not crash.
+    EXPECT_FALSE(wire_decode(buf, len, out))
+        << "iter " << iter << ": a corrupt frame slipped past the CRC";
+    // Pure noise: arbitrary bytes at arbitrary length never decode.
     const std::size_t noise_len = rng.below(kWireMax + 1);
     for (std::size_t k = 0; k < noise_len; ++k) {
       buf[k] = static_cast<std::uint8_t>(rng.below(256));
     }
-    if (wire_decode(buf, noise_len, out)) {
-      EXPECT_EQ(buf[2], kWireVersionLegacy) << "iter " << iter;
-    }
+    EXPECT_FALSE(wire_decode(buf, noise_len, out)) << "iter " << iter;
   }
 }
 

@@ -186,64 +186,5 @@ TEST(ScenarioTest, InitialTopologyMayBeEmptyOfEdges) {
   EXPECT_TRUE(s.graph().both_views_present(EdgeKey(0, 1)));
 }
 
-// ---------------------------------------------------------------------------
-// The deprecated ScenarioConfig shim.
-
-TEST(ScenarioConfigShim, ConvertsLosslesslyAndRuns) {
-  ScenarioConfig cfg;
-  cfg.n = 5;
-  cfg.initial_edges = topo_ring(5);
-  cfg.edge_params = default_edge_params();
-  cfg.algo = AlgoKind::kBoundedRateMax;
-  cfg.drift = DriftKind::kAlternatingBlocks;
-  cfg.drift_blocks = 2;
-  cfg.drift_block_period = 40.0;
-  cfg.gskew = GskewKind::kOracle;
-  cfg.gskew_factor = 3.0;
-  cfg.seed = 17;
-
-  const ScenarioSpec spec = to_spec(cfg);
-  EXPECT_EQ(spec.algo.kind, "bounded-rate-max");
-  EXPECT_EQ(spec.drift.kind, "blocks");
-  EXPECT_EQ(spec.drift.params.get_double("period", 0.0), 40.0);
-  EXPECT_EQ(spec.gskew.kind, "oracle");
-  EXPECT_EQ(spec.gskew.params.get_double("factor", 0.0), 3.0);
-  EXPECT_EQ(spec.seed, 17u);
-  EXPECT_EQ(spec.explicit_edges.size(), cfg.initial_edges.size());
-
-  Scenario s(cfg);
-  s.start();
-  s.run_until(20.0);
-  EXPECT_GT(s.engine().logical(0), 18.0);
-}
-
-TEST(ScenarioConfigShim, MatchesSpecConstructionExactly) {
-  // The shim and the native spec path must drive identical executions.
-  ScenarioConfig cfg;
-  cfg.n = 6;
-  cfg.initial_edges = topo_line(6);
-  cfg.edge_params = default_edge_params();
-  cfg.drift = DriftKind::kRandomWalk;
-  cfg.seed = 9;
-  Scenario via_shim(cfg);
-  via_shim.start();
-  via_shim.run_until(80.0);
-
-  Scenario via_spec(to_spec(cfg));
-  via_spec.start();
-  via_spec.run_until(80.0);
-
-  for (NodeId u = 0; u < 6; ++u) {
-    EXPECT_DOUBLE_EQ(via_shim.engine().logical(u), via_spec.engine().logical(u));
-  }
-}
-
-TEST(ToStringTest, AlgoKindNames) {
-  EXPECT_STREQ(to_string(AlgoKind::kAopt), "AOPT");
-  EXPECT_STREQ(to_string(AlgoKind::kMaxJump), "max-jump");
-  EXPECT_STREQ(to_string(AlgoKind::kBoundedRateMax), "bounded-rate-max");
-  EXPECT_STREQ(to_string(AlgoKind::kFreeRunning), "free-running");
-}
-
 }  // namespace
 }  // namespace gcs

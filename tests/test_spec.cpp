@@ -71,13 +71,21 @@ TEST(ScenarioSpec, SetRejectsUnknownKeysAndBadValues) {
 }
 
 TEST(ScenarioSpec, LegacyAliasesMapToComponents) {
+  // The seed-era flat aliases are gone: each is an unknown key now.
   ScenarioSpec spec;
+  for (const char* key :
+       {"rows", "cols", "dim", "k", "path", "p", "radius", "block_period",
+        "sine_period", "walk_period", "blocks", "walk_std", "churn",
+        "gskew_factor", "gskew_margin", "gskew_hint"}) {
+    EXPECT_THROW(spec.set(key, "1"), std::runtime_error) << key;
+  }
+  // Their canonical forms produce the spec the aliases used to.
   spec.set("topo", "grid");
-  spec.set("rows", "3");
-  spec.set("cols", "7");
-  spec.set("blocks", "4");
-  spec.set("block_period", "50");
-  spec.set("churn", "0.25");
+  spec.set("topo.rows", "3");
+  spec.set("topo.cols", "7");
+  spec.set("drift.blocks", "4");
+  spec.set("drift.period", "50");
+  spec.set("adversary", "churn:rate=0.25");
   EXPECT_EQ(spec.topology.params.get_int("rows", 0), 3);
   EXPECT_EQ(spec.topology.params.get_int("cols", 0), 7);
   EXPECT_EQ(spec.drift.params.get_int("blocks", 0), 4);
