@@ -4,7 +4,11 @@
 // membership (failure detector, partition/heal, crash/restart) and the
 // deterministic chaos layer. Also covers the RTT estimate source in plain
 // simulation mode (registry-selected).
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -650,6 +654,238 @@ TEST(TcpTransportSuite, CorruptedFramesAreRejectedAtIngress) {
   }
   ASSERT_TRUE(got);
   EXPECT_DOUBLE_EQ(out.sent_at, 99.0);
+}
+
+// ------------------------------------------------- chaos decision-stream pins
+//
+// Sender 1 of a 4-node cluster sends 256 frames on 1 -> 2 with drop 0.5 and
+// corrupt 0.5 armed. Each send's (dropped, corrupted) outcome is folded into
+// a digest pinned below, so any change to the chaos/corruption stream
+// derivation or the per-send draw order fails here, not only in end-to-end
+// fingerprints. Sender 1 on purpose: the pipe forks all n^2 links in link
+// order from one shared root while each socket transport forks its own n
+// links from a fresh root, and the two derivations coincide only for
+// sender 0. The socket backends also pin the exact bytes put on the wire,
+// which fixes the flipped bit of every corrupted frame.
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+constexpr int kPinFrames = 256;
+constexpr std::uint64_t kPipeDecisionPin = 0xdd7e71a453fb1e83ULL;
+constexpr std::uint64_t kSocketDecisionPin = 0xd50526845cdd0705ULL;
+constexpr std::uint64_t kSocketBytesPin = 0xaba20e1e85958c4cULL;
+
+std::uint64_t fnv_step(std::uint64_t h, std::uint64_t v) {
+  return (h ^ v) * 0x100000001b3ULL;
+}
+
+std::uint64_t fold_outcome(std::uint64_t h, bool dropped, bool corrupted) {
+  return fnv_step(h, (dropped ? 1u : 0u) | (corrupted ? 2u : 0u));
+}
+
+/// A bare loopback socket standing in for node 2, so a test sees exactly the
+/// bytes a transport put on the wire, corrupted frames included. Datagram
+/// sinks bind; stream sinks listen and accept the sender's one connection.
+class RawSink {
+ public:
+  RawSink(int type, std::uint16_t port) : stream_(type == SOCK_STREAM) {
+    fd_ = ::socket(AF_INET, type | SOCK_NONBLOCK, 0);
+    int one = 1;
+    ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    ok_ = ::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) == 0 &&
+          (!stream_ || ::listen(fd_, 4) == 0);
+  }
+  ~RawSink() {
+    if (conn_ >= 0) ::close(conn_);
+    if (fd_ >= 0) ::close(fd_);
+  }
+  RawSink(const RawSink&) = delete;
+  RawSink& operator=(const RawSink&) = delete;
+
+  [[nodiscard]] bool ok() const { return ok_; }
+  [[nodiscard]] std::size_t bytes() const { return bytes_; }
+  [[nodiscard]] std::uint64_t digest() const { return digest_; }
+
+  /// Fold everything readable right now into the byte digest.
+  void drain() {
+    if (stream_ && conn_ < 0) conn_ = ::accept4(fd_, nullptr, nullptr, SOCK_NONBLOCK);
+    const int fd = stream_ ? conn_ : fd_;
+    if (fd < 0) return;
+    std::uint8_t buf[4096];
+    for (;;) {
+      const ssize_t rc = ::recv(fd, buf, sizeof(buf), 0);
+      if (rc <= 0) return;
+      for (ssize_t i = 0; i < rc; ++i) digest_ = fnv_step(digest_, buf[i]);
+      bytes_ += static_cast<std::size_t>(rc);
+    }
+  }
+
+ private:
+  bool stream_;
+  bool ok_ = false;
+  int fd_ = -1;
+  int conn_ = -1;
+  std::size_t bytes_ = 0;
+  std::uint64_t digest_ = kFnvOffset;
+};
+
+/// Drive `send` for the pin workload; `drops` and `corrupts` read the
+/// backend's chaos counters. Returns the decision digest; `wire_bytes`
+/// receives the total size of the frames that were not dropped.
+template <class Send, class Drops, class Corrupts>
+std::uint64_t pin_decisions(Send send, Drops drops, Corrupts corrupts,
+                            std::size_t& wire_bytes) {
+  std::uint64_t h = kFnvOffset;
+  wire_bytes = 0;
+  for (int i = 0; i < kPinFrames; ++i) {
+    const WireMsg m = beacon_msg(1, 2, i);
+    const std::uint64_t d0 = drops();
+    const std::uint64_t c0 = corrupts();
+    EXPECT_TRUE(send(m));
+    const bool dropped = drops() != d0;
+    h = fold_outcome(h, dropped, corrupts() != c0);
+    if (!dropped) {
+      std::uint8_t frame[kWireMax];
+      wire_bytes += wire_encode(m, frame);
+    }
+  }
+  return h;
+}
+
+const LinkFault kPinFault{0.5f, 0.0f, 0.5f};
+
+TEST(PipeHub, ChaosDecisionsArePinnedForSenderOne) {
+  VirtualClock clock;
+  PipeHub hub(4, clock);
+  hub.set_link_fault(1, 2, kPinFault);
+  std::size_t wire_bytes = 0;
+  const std::uint64_t h = pin_decisions(
+      [&](const WireMsg& m) { return hub.send(m); },
+      [&] { return hub.chaos_dropped(); }, [&] { return hub.corrupted(); },
+      wire_bytes);
+  EXPECT_EQ(h, kPipeDecisionPin) << std::hex << "0x" << h;
+  EXPECT_EQ(hub.rejected(), hub.corrupted());
+  EXPECT_NE(kPipeDecisionPin, kSocketDecisionPin)
+      << "pipe and socket stream derivations differ for sender != 0";
+}
+
+TEST(UdpTransportSuite, ChaosDecisionsArePinnedForSenderOne) {
+  VirtualClock clock;
+  RawSink sink(SOCK_DGRAM, 34772);
+  ASSERT_TRUE(sink.ok());
+  UdpTransport a(4, 1, 34770, &clock);
+  a.set_link_fault(1, 2, kPinFault);
+  std::size_t wire_bytes = 0;
+  const std::uint64_t h = pin_decisions(
+      [&](const WireMsg& m) {
+        const bool ok = a.send(m);
+        sink.drain();  // loopback datagrams arrive synchronously
+        return ok;
+      },
+      [&] { return a.dropped(); }, [&] { return a.corrupted(); }, wire_bytes);
+  EXPECT_EQ(h, kSocketDecisionPin) << std::hex << "0x" << h;
+  for (int i = 0; i < 2000 && sink.bytes() < wire_bytes; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    sink.drain();
+  }
+  ASSERT_EQ(sink.bytes(), wire_bytes);
+  EXPECT_EQ(sink.digest(), kSocketBytesPin) << std::hex << "0x" << sink.digest();
+}
+
+TEST(TcpTransportSuite, ChaosDecisionsArePinnedForSenderOne) {
+  VirtualClock clock;
+  RawSink sink(SOCK_STREAM, 46042);
+  ASSERT_TRUE(sink.ok());
+  TcpTransport a(4, 1, 46040, clock);
+  a.set_link_fault(1, 2, kPinFault);
+  std::size_t wire_bytes = 0;
+  WireMsg scratch;
+  const std::uint64_t h = pin_decisions(
+      [&](const WireMsg& m) {
+        const bool ok = a.send(m);
+        a.poll(1, scratch);  // progress the handshake, flush the write buffer
+        sink.drain();
+        return ok;
+      },
+      [&] { return a.dropped(); }, [&] { return a.corrupted(); }, wire_bytes);
+  EXPECT_EQ(h, kSocketDecisionPin) << std::hex << "0x" << h;
+  for (int i = 0; i < 2000 && sink.bytes() < wire_bytes; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    a.poll(1, scratch);
+    sink.drain();
+  }
+  ASSERT_EQ(sink.bytes(), wire_bytes);
+  EXPECT_EQ(sink.digest(), kSocketBytesPin) << std::hex << "0x" << sink.digest();
+  EXPECT_EQ(a.conn_down(), 0u);
+  EXPECT_EQ(a.backpressure(), 0u);
+}
+
+/// Latency-storm schedule shared by the socket backends, on link 0 -> 1:
+/// frames 0-2 sent at t=0 under a 2 s storm, frame 3 at t=0.5 under 0.5 s,
+/// frame 4 at t=1 under 1 s. Frame 3 falls due first and leaves alone at
+/// t=1; frames 0, 1, 2 and 4 all fall due at t=2 and must leave in send
+/// order. `a.poll` is what walks the sender's stash between sends.
+template <class T>
+void check_storm_release_order(VirtualClock& clock, T& a, T& b) {
+  WireMsg out;
+  auto arrives = [&](double tag) {
+    for (int i = 0; i < 2000; ++i) {
+      a.poll(0, out);
+      if (b.poll(1, out)) {
+        EXPECT_DOUBLE_EQ(out.sent_at, tag);
+        return true;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  };
+  auto quiet = [&] {
+    for (int i = 0; i < 20; ++i) {
+      a.poll(0, out);
+      if (b.poll(1, out)) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  };
+  a.set_link_fault(0, 1, LinkFault{0.0f, 2.0f});
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(a.send(beacon_msg(0, 1, i)));
+  EXPECT_TRUE(quiet()) << "storm frames leaked at t=0";
+  clock.advance_to(0.5);
+  a.set_link_fault(0, 1, LinkFault{0.0f, 0.5f});
+  EXPECT_TRUE(a.send(beacon_msg(0, 1, 3)));
+  EXPECT_TRUE(quiet()) << "storm frames leaked at t=0.5";
+  clock.advance_to(1.0);
+  a.set_link_fault(0, 1, LinkFault{0.0f, 1.0f});
+  EXPECT_TRUE(a.send(beacon_msg(0, 1, 4)));
+  ASSERT_TRUE(arrives(3)) << "frame 3 is due at t=1";
+  EXPECT_TRUE(quiet()) << "frames due at t=2 left early";
+  clock.advance_to(1.5);
+  EXPECT_TRUE(quiet()) << "frames due at t=2 left at t=1.5";
+  clock.advance_to(2.0);
+  for (const double tag : {0.0, 1.0, 2.0, 4.0}) {
+    ASSERT_TRUE(arrives(tag)) << "frame " << tag << " never released";
+  }
+  EXPECT_TRUE(quiet());
+}
+
+TEST(UdpTransportSuite, LatencyStormReleasesInDueThenSendOrder) {
+  VirtualClock clock;
+  UdpTransport a(2, 0, 34790, &clock);
+  UdpTransport b(2, 1, 34790, &clock);
+  check_storm_release_order(clock, a, b);
+  EXPECT_EQ(b.received(), 5u);
+}
+
+TEST(TcpTransportSuite, LatencyStormReleasesInDueThenSendOrder) {
+  VirtualClock clock;
+  TcpTransport a(2, 0, 46050, clock);
+  TcpTransport b(2, 1, 46050, clock);
+  check_storm_release_order(clock, a, b);
+  EXPECT_EQ(b.received(), 5u);
+  EXPECT_EQ(a.conn_down(), 0u);
 }
 
 // ------------------------------------------------------------------ liveness
