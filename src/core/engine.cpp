@@ -67,8 +67,8 @@ Engine::Engine(Simulator& sim, DynamicGraph& graph, Transport& transport,
       gskew_(gskew),
       params_(params),
       config_(config) {
-  // Channel dispatch: the thunk's static_cast call devirtualizes (Engine is
-  // final), so fired typed events skip the vtable entirely.
+  // Channel dispatch: the thunk's static_cast call is a direct call, so
+  // fired typed events never go through a vtable.
   channel_ = sim_.register_dispatch_channel(this, [](void* self, const SimEvent& ev) {
     static_cast<Engine*>(self)->dispatch(ev);
   });

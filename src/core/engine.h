@@ -194,7 +194,6 @@ class EngineObserver {
 
 class Engine final : public DynamicGraph::Listener,
                      public ClockAccess,
-                     public EventDispatcher,
                      public DeliverySink,
                      public ProbeSender {
  public:
@@ -271,12 +270,11 @@ class Engine final : public DynamicGraph::Listener,
   void on_edge_discovered(NodeId u, NodeId peer) override;
   void on_edge_lost(NodeId u, NodeId peer) override;
 
-  // ------------------------------------------------------- EventDispatcher
+  // --------------------------------------------------------- event dispatch
   /// Typed-event switch: the kernel hands back Tick/Beacon/DriftChange/
-  /// MLockCatch/LogicalTarget records scheduled by this engine. Hot events
-  /// arrive through the registered dispatch channel (a direct call — Engine
-  /// is final); this virtual override remains as the escape-hatch arm.
-  void dispatch(const SimEvent& ev) override;
+  /// MLockCatch/LogicalTarget records scheduled by this engine through the
+  /// registered dispatch channel (a direct call).
+  void dispatch(const SimEvent& ev);
 
  private:
   friend class NodeApi;

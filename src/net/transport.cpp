@@ -29,8 +29,8 @@ InlineBlob to_blob(const Payload& payload) {
 
 Transport::Transport(Simulator& sim, DynamicGraph& graph, std::uint64_t seed)
     : sim_(sim), graph_(graph), seed_(seed), rng_(seed) {
-  // Channel dispatch: the thunk's static_cast call devirtualizes (Transport
-  // is final), so fired deliveries skip the vtable entirely.
+  // Channel dispatch: the thunk's static_cast call is a direct call, so
+  // fired deliveries never go through a vtable.
   channel_ = sim_.register_dispatch_channel(this, [](void* self, const SimEvent& ev) {
     static_cast<Transport*>(self)->dispatch(ev);
   });

@@ -52,7 +52,7 @@ class TransportEgress {
   virtual void send(NodeId from, NodeId to, Time sent_at, const Payload& payload) = 0;
 };
 
-class Transport final : public EventDispatcher {
+class Transport {
  public:
   using Handler = std::function<void(const Delivery&)>;
 
@@ -119,9 +119,9 @@ class Transport final : public EventDispatcher {
   void send_fanout(NodeId from, const std::vector<NeighborView>& views,
                    Payload payload);
 
-  /// Kernel callback for in-flight kDelivery events (also reachable through
-  /// the registered dispatch channel, which devirtualizes the call).
-  void dispatch(const SimEvent& ev) override;
+  /// Kernel callback for in-flight kDelivery events, reached through the
+  /// registered dispatch channel (a direct call).
+  void dispatch(const SimEvent& ev);
 
   /// The in-flight payload store (exposed for tests and diagnostics).
   [[nodiscard]] const MessageArena& arena() const { return arena_; }

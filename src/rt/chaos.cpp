@@ -330,4 +330,49 @@ void ChaosScheduler::poll(Time now) {
   }
 }
 
+LinkChaos::LinkChaos(int n, NodeId self, Roots& roots) : n_(n), self_(self) {
+  require(n >= 1 && self >= 0 && self < n, "LinkChaos: bad node");
+  faults_ = std::make_unique<std::atomic<std::uint64_t>[]>(static_cast<std::size_t>(n));
+  chaos_rngs_.reserve(static_cast<std::size_t>(n));
+  corrupt_rngs_.reserve(static_cast<std::size_t>(n));
+  for (NodeId to = 0; to < n; ++to) {
+    const std::uint64_t stream =
+        static_cast<std::uint64_t>(self) * static_cast<std::uint64_t>(n) +
+        static_cast<std::uint64_t>(to);
+    chaos_rngs_.push_back(roots.chaos.fork(stream));
+    corrupt_rngs_.push_back(roots.corrupt.fork(stream));
+  }
+}
+
+void LinkChaos::set(NodeId to, const LinkFault& f) {
+  require(to >= 0 && to < n_ && to != self_, "LinkChaos: bad link");
+  faults_[static_cast<std::size_t>(to)].store(pack_link_fault(f),
+                                              std::memory_order_relaxed);
+}
+
+ChaosDecision LinkChaos::decide(NodeId to) {
+  const auto i = static_cast<std::size_t>(to);
+  const double roll = chaos_rngs_[i].uniform(0.0, 1.0);
+  ChaosDecision d;
+  d.corrupt_draw = corrupt_rngs_[i].next();
+  const LinkFault f = unpack_link_fault(faults_[i].load(std::memory_order_relaxed));
+  d.drop = roll < f.drop;
+  d.corrupt = f.corrupt > 0.0f &&
+              static_cast<double>(d.corrupt_draw >> 11) * 0x1.0p-53 <
+                  static_cast<double>(f.corrupt);
+  d.extra_delay = f.extra_delay;
+  return d;
+}
+
+void LinkChaos::stash(Time release_at, const std::uint8_t* frame, std::size_t len,
+                      NodeId to) {
+  Stashed s;
+  s.release_at = release_at;
+  s.seq = stash_seq_++;
+  std::copy(frame, frame + len, s.frame.begin());
+  s.len = len;
+  s.to = to;
+  stash_.push(s);
+}
+
 }  // namespace gcs

@@ -36,11 +36,17 @@
 // gradient bound — the paper's stabilization guarantee, asserted live.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <queue>
 #include <string>
 #include <vector>
 
+#include "rt/wire.h"
 #include "util/common.h"
+#include "util/rng.h"
 
 namespace gcs {
 
@@ -78,6 +84,103 @@ struct LinkFault {
   __builtin_memcpy(&f.extra_delay, &e, 4);
   return f;
 }
+
+/// One send's chaos verdict on a directed link (see LinkChaos::decide).
+struct ChaosDecision {
+  bool drop = false;              ///< swallow the frame in flight
+  bool corrupt = false;           ///< flip one bit of the encoded frame
+  float extra_delay = 0.0f;       ///< latency-storm hold, model seconds
+  std::uint64_t corrupt_draw = 0; ///< the corruption u64; picks the bit
+
+  /// Flip the bit corrupt_draw picks, anywhere past the 2-byte length
+  /// prefix: corrupting the prefix would break stream framing, which is a
+  /// transport invariant, not an integrity property the CRC is meant to
+  /// catch.
+  void flip_bit(std::uint8_t* frame, std::size_t len) const {
+    const std::size_t nbits = (len - 2) * 8;
+    const std::size_t bit = 2 * 8 + static_cast<std::size_t>(corrupt_draw % nbits);
+    frame[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+  }
+};
+
+/// Outbound chaos for one sender, shared by every runtime transport: the
+/// per-destination LinkFault slots (lock-free atomics the ChaosScheduler
+/// writes from any thread), the per-destination chaos and corruption RNG
+/// streams, and the latency-storm stash of encoded frames.
+///
+/// Every decide() draws exactly one chaos uniform and one corruption u64,
+/// whether or not a fault is armed, so each decision sequence is a pure
+/// function of the per-link send count — which is what makes lockstep chaos
+/// runs bit-reproducible. The corruption stream is separate so arming a
+/// corrupt fault never shifts the drop rolls; its single draw decides both
+/// whether to flip (top 53 bits against the armed probability) and which
+/// bit (the low bits, once the frame length is known).
+class LinkChaos {
+ public:
+  /// The chaos and corruption stream roots, both salted from one seed.
+  struct Roots {
+    explicit Roots(std::uint64_t seed)
+        : chaos(seed ^ 0xc4a05ULL), corrupt(seed ^ 0xf11bULL) {}
+    Rng chaos;
+    Rng corrupt;
+  };
+
+  /// Forks stream self * n + to from each root, for to = 0 .. n-1 in order.
+  /// fork() advances its root, so the derivation depends on what the roots
+  /// forked before: PipeHub passes one shared pair to every sender in node
+  /// order (all n^2 links forked in link order from one root), each socket
+  /// transport passes a fresh pair. The two agree only for sender 0.
+  LinkChaos(int n, NodeId self, Roots& roots);
+  LinkChaos(int n, NodeId self, Roots&& roots) : LinkChaos(n, self, roots) {}
+
+  /// Arm the fault slot of link self -> to. Callable from any thread.
+  void set(NodeId to, const LinkFault& f);
+
+  /// Draw the verdict for one send on self -> to. Sender thread only.
+  [[nodiscard]] ChaosDecision decide(NodeId to);
+
+  /// Hold an encoded (possibly already corrupted) frame for `to` until
+  /// `release_at`: the corruption decision belongs to send time, so bytes
+  /// are what the stash keeps.
+  void stash(Time release_at, const std::uint8_t* frame, std::size_t len, NodeId to);
+
+  /// Whether any stashed frame is still waiting for its release time.
+  [[nodiscard]] bool holding() const { return !stash_.empty(); }
+
+  /// Hand every stashed frame due by `now` to emit(frame, len, to), in
+  /// release order and in send order within equal release times.
+  template <class Emit>
+  void release_due(Time now, Emit&& emit) {
+    while (!stash_.empty() && stash_.top().release_at <= now) {
+      const Stashed& top = stash_.top();
+      emit(top.frame.data(), top.len, top.to);
+      stash_.pop();
+    }
+  }
+
+ private:
+  struct Stashed {
+    Time release_at = 0.0;
+    std::uint64_t seq = 0;
+    std::array<std::uint8_t, kWireMax> frame{};
+    std::size_t len = 0;
+    NodeId to = kNoNode;
+  };
+  struct Later {  // min-heap on (release_at, seq)
+    bool operator()(const Stashed& a, const Stashed& b) const {
+      if (a.release_at != b.release_at) return a.release_at > b.release_at;
+      return a.seq > b.seq;
+    }
+  };
+
+  int n_;
+  NodeId self_;
+  std::vector<Rng> chaos_rngs_;    ///< per destination
+  std::vector<Rng> corrupt_rngs_;  ///< per destination
+  std::unique_ptr<std::atomic<std::uint64_t>[]> faults_;  ///< packed LinkFault
+  std::priority_queue<Stashed, std::vector<Stashed>, Later> stash_;
+  std::uint64_t stash_seq_ = 0;
+};
 
 /// What a chaos script runs against. All methods must be callable from the
 /// scheduler's thread (RtCluster maps them onto atomics).

@@ -1,6 +1,6 @@
 // Runtime transports: how WireMsgs move between live nodes.
 //
-// Two backends behind one two-call interface (non-blocking send, non-
+// Three backends behind one two-call interface (non-blocking send, non-
 // blocking poll):
 //
 //  * PipeHub — in-process: one lock-free SPSC ring per directed node pair
@@ -18,23 +18,18 @@
 //    (EAGAIN/ENOBUFS) get a bounded retry and land in send_errors(), never
 //    in the injected-fault counters.
 //
-// Both backends additionally carry one chaos LinkFault slot per directed
-// link (rt/chaos.h): a lock-free atomic the ChaosScheduler writes from any
-// thread and the sender reads per frame. Chaos decisions come from their
-// own per-link RNG stream which draws exactly one uniform per send whether
-// or not a fault is armed — like the FaultSpec stream, the decision
-// sequence is a pure function of the per-link send count, which is what
-// makes lockstep chaos runs bit-reproducible. Corruption faults draw from
-// a third, equally disciplined per-link stream (one u64 per send): the
-// decision AND the flipped bit position come from that single draw, so
-// arming corruption never perturbs the drop-roll sequence. Flips land
-// anywhere past the 2-byte length prefix — corrupting the prefix would
-// break stream framing, which is a transport invariant, not an integrity
-// property the CRC is meant to catch. Every transport counts undecodable
-// ingress in rejected().
+//  * TcpTransport (rt/tcp_transport.h) — the same frames over real loopback
+//    connections with a reconnect state machine.
+//
+// Every backend injects chaos (drop, latency storm, corrupt) through one
+// LinkChaos per sender (rt/chaos.h), which owns the per-link fault slots,
+// the chaos and corruption RNG streams and the storm stash. Pipe frames
+// never leave the process, so the pipe applies a storm as extra deliver_at
+// hold and a corruption by encoding, flipping and re-decoding; the socket
+// backends flip the encoded frame and hold it in the stash. Every
+// transport counts undecodable ingress in rejected().
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <memory>
 #include <queue>
@@ -147,12 +142,7 @@ class PipeHub final : public RtTransport {
   FaultSpec faults_;
   std::vector<std::unique_ptr<SpscRing<WireMsg>>> rings_;  ///< [from * n + to]
   std::vector<Rng> rngs_;        ///< sender-owned, per directed edge (FaultSpec)
-  std::vector<Rng> chaos_rngs_;  ///< sender-owned, per directed edge (chaos)
-  /// Sender-owned corruption stream, separate from chaos_rngs_ so arming a
-  /// corrupt fault cannot shift the established drop-roll sequence (both
-  /// streams draw exactly once per send, armed or not).
-  std::vector<Rng> corrupt_rngs_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> link_faults_;    ///< packed LinkFault
+  std::vector<LinkChaos> chaos_; ///< sender-owned, per node
   std::unique_ptr<std::atomic<std::uint64_t>[]> ring_full_link_; ///< per directed edge
   std::vector<Inbox> inboxes_;   ///< receiver-owned, per node
   std::atomic<std::uint64_t> sent_{0};
@@ -170,7 +160,10 @@ class PipeHub final : public RtTransport {
 /// `clock` is only needed for chaos latency storms (stashed frames are
 /// released against it); a clock-less instance REJECTS arming a latency
 /// fault (set_link_fault throws) rather than silently degrading the storm
-/// to zero delay.
+/// to zero delay. `chaos_seed` seeds a fresh pair of LinkChaos roots, so
+/// every daemon reproduces its own outbound decisions from (chaos_seed,
+/// self, to, send count) alone; for self != 0 these differ from the
+/// decisions PipeHub draws for the same link (see LinkChaos).
 class UdpTransport final : public RtTransport {
  public:
   UdpTransport(int n, NodeId self, std::uint16_t base_port,
@@ -203,23 +196,6 @@ class UdpTransport final : public RtTransport {
   [[nodiscard]] std::uint64_t rejected() const override { return rejected_; }
 
  private:
-  struct Stashed {  // min-heap on release_at, FIFO within ties
-    Time release_at = 0.0;
-    std::uint64_t seq = 0;
-    // Encoded (and possibly already corrupted) frame: the corruption
-    // decision belongs to send time, not release time, so bytes are what
-    // the stash holds.
-    std::array<std::uint8_t, kWireMax> frame{};
-    std::size_t len = 0;
-    NodeId to = kNoNode;
-  };
-  struct StashOrder {
-    bool operator()(const Stashed& a, const Stashed& b) const {
-      if (a.release_at != b.release_at) return a.release_at > b.release_at;
-      return a.seq > b.seq;
-    }
-  };
-
   bool transmit(const std::uint8_t* frame, std::size_t len, NodeId to);
   void flush_stash();
 
@@ -228,11 +204,7 @@ class UdpTransport final : public RtTransport {
   std::uint16_t base_port_;
   int fd_ = -1;
   TimeSource* clock_ = nullptr;
-  std::vector<Rng> chaos_rngs_;    ///< per destination, sender-thread owned
-  std::vector<Rng> corrupt_rngs_;  ///< per destination, sender-thread owned
-  std::unique_ptr<std::atomic<std::uint64_t>[]> link_faults_;  ///< per destination
-  std::priority_queue<Stashed, std::vector<Stashed>, StashOrder> stash_;
-  std::uint64_t stash_seq_ = 0;
+  LinkChaos chaos_;  ///< outbound links, sender-thread owned
   std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;
   std::uint64_t dropped_ = 0;

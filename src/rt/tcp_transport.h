@@ -115,20 +115,6 @@ class TcpTransport final : public RtTransport {
     std::vector<std::uint8_t> rbuf;  ///< partial-frame reassembly
     std::size_t consumed = 0;        ///< parsed prefix of rbuf
   };
-  struct Stashed {  // latency-storm hold, min-heap on release_at
-    Time release_at = 0.0;
-    std::uint64_t seq = 0;
-    std::array<std::uint8_t, kWireMax> frame{};
-    std::size_t len = 0;
-    NodeId to = kNoNode;
-  };
-  struct StashOrder {
-    bool operator()(const Stashed& a, const Stashed& b) const {
-      if (a.release_at != b.release_at) return a.release_at > b.release_at;
-      return a.seq > b.seq;
-    }
-  };
-
   void consume_reset_requests(Time now);
   void progress(OutConn& c, NodeId peer, Time now);
   void dial(OutConn& c, NodeId peer, Time now);
@@ -149,13 +135,9 @@ class TcpTransport final : public RtTransport {
   std::vector<OutConn> out_;       ///< per peer, owner-thread only
   std::vector<InConn> in_;         ///< accepted connections, owner-thread only
   std::deque<WireMsg> pending_;    ///< decoded frames awaiting poll()
-  std::vector<Rng> chaos_rngs_;    ///< per destination, owner-thread only
-  std::vector<Rng> corrupt_rngs_;  ///< per destination, owner-thread only
+  LinkChaos chaos_;                ///< outbound links, owner-thread only
   std::vector<Rng> backoff_rngs_;  ///< per destination, jitter stream
-  std::unique_ptr<std::atomic<std::uint64_t>[]> link_faults_;  ///< per destination
-  std::unique_ptr<std::atomic<bool>[]> reset_requests_;        ///< per destination
-  std::priority_queue<Stashed, std::vector<Stashed>, StashOrder> stash_;
-  std::uint64_t stash_seq_ = 0;
+  std::unique_ptr<std::atomic<bool>[]> reset_requests_;  ///< per destination
   std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;
   std::uint64_t dropped_ = 0;

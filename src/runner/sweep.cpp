@@ -1,9 +1,7 @@
 #include "runner/sweep.h"
 
+#include <atomic>
 #include <chrono>
-#include <deque>
-#include <mutex>
-#include <new>
 #include <set>
 #include <thread>
 #include <utility>
@@ -111,25 +109,6 @@ SweepRunner::RunFn SweepRunner::default_run_fn(const SweepOptions& options) {
   };
 }
 
-namespace {
-
-#ifdef __cpp_lib_hardware_interference_size
-inline constexpr std::size_t kShardAlign = std::hardware_destructive_interference_size;
-#else
-inline constexpr std::size_t kShardAlign = 64;
-#endif
-
-/// One worker's shard: its slice of the grid plus everything it writes while
-/// running. Cache-line aligned and padded so neighboring workers never share
-/// a line; the mutex only guards the deque (stealing), never the results.
-struct alignas(kShardAlign) Shard {
-  std::mutex mutex;
-  std::deque<int> pending;             ///< run indices; owner pops front, thieves pop back
-  std::vector<std::pair<int, RunResult>> done;  ///< (run index, result), owner-only
-};
-
-}  // namespace
-
 std::vector<RunResult> SweepRunner::run(const Sweep& sweep) const {
   // Touch every registry once so lazy bootstrap happens before workers race.
   sweep.base().validate();
@@ -137,15 +116,6 @@ std::vector<RunResult> SweepRunner::run(const Sweep& sweep) const {
   const std::vector<Sweep::Expanded> grid = sweep.expand();
   const int thread_count =
       std::max(1, std::min<int>(options_.threads, static_cast<int>(grid.size())));
-
-  // Block-partition the grid into one shard per worker: contiguous index
-  // ranges keep neighboring (usually similar-cost) runs on one worker and
-  // make the no-steal case equivalent to a static partition.
-  std::vector<Shard> shards(static_cast<std::size_t>(thread_count));
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    shards[i * static_cast<std::size_t>(thread_count) / grid.size()]
-        .pending.push_back(static_cast<int>(i));
-  }
 
   const auto execute_run = [&](int i, RunResult& r) {
     const auto& cell = grid[static_cast<std::size_t>(i)];
@@ -157,10 +127,10 @@ std::vector<RunResult> SweepRunner::run(const Sweep& sweep) const {
     try {
       ScenarioSpec spec = cell.spec;
       if (spec_fn_) spec_fn_(spec);  // derive correlated parameters per cell
-      // Constructed HERE, on the owning worker's thread: the scenario's
-      // arenas and RNG streams are first-touch local to this worker (and on
-      // NUMA machines, to its node); the per-run seed comes from the spec,
-      // so streams are identical no matter which worker runs the index.
+      // Constructed on the claiming worker's thread, so its arenas and RNG
+      // streams are first-touch local to that worker; the per-run seed
+      // comes from the spec, so streams are identical whichever worker runs
+      // the index.
       Scenario scenario(spec);
       r.n = scenario.spec().n;
       run_fn_(scenario, r);
@@ -177,60 +147,25 @@ std::vector<RunResult> SweepRunner::run(const Sweep& sweep) const {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   };
 
-  const auto worker = [&](std::size_t me) {
-    Shard& own = shards[me];
-    for (;;) {
-      int i = -1;
-      {
-        std::lock_guard<std::mutex> lock(own.mutex);
-        if (!own.pending.empty()) {
-          i = own.pending.front();  // owner end
-          own.pending.pop_front();
-        }
-      }
-      if (i < 0) {
-        // Own shard dry: steal from the BACK of the fullest remaining shard
-        // (the end its owner will reach last, minimizing contention).
-        std::size_t victim = shards.size();
-        std::size_t best = 0;
-        for (std::size_t s = 0; s < shards.size(); ++s) {
-          if (s == me) continue;
-          std::lock_guard<std::mutex> lock(shards[s].mutex);
-          if (shards[s].pending.size() > best) {
-            best = shards[s].pending.size();
-            victim = s;
-          }
-        }
-        if (victim == shards.size()) return;  // everything everywhere is done
-        std::lock_guard<std::mutex> lock(shards[victim].mutex);
-        if (shards[victim].pending.empty()) continue;  // raced; rescan
-        i = shards[victim].pending.back();  // thief end
-        shards[victim].pending.pop_back();
-      }
-      RunResult r;
-      execute_run(i, r);
-      own.done.emplace_back(i, std::move(r));  // owner-local, no lock needed
+  // Each worker claims the next unrun index and writes its result slot
+  // directly: a run builds a whole Scenario, so one atomic increment per run
+  // costs nothing next to it, and claiming one index at a time balances
+  // heterogeneous run lengths (an "n" axis spanning 8..1024) by itself.
+  std::vector<RunResult> results(grid.size());
+  std::atomic<std::size_t> next{0};
+  const auto worker = [&] {
+    for (std::size_t i = next++; i < grid.size(); i = next++) {
+      execute_run(static_cast<int>(i), results[i]);
     }
   };
 
   if (thread_count <= 1) {
-    worker(0);
+    worker();
   } else {
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(thread_count));
-    for (int t = 0; t < thread_count; ++t) {
-      pool.emplace_back(worker, static_cast<std::size_t>(t));
-    }
+    for (int t = 0; t < thread_count; ++t) pool.emplace_back(worker);
     for (auto& th : pool) th.join();
-  }
-
-  // Deterministic merge: scatter every shard's results into grid order by
-  // run index. Which worker ran an index never matters to the caller.
-  std::vector<RunResult> results(grid.size());
-  for (Shard& s : shards) {
-    for (auto& [i, r] : s.done) {
-      results[static_cast<std::size_t>(i)] = std::move(r);
-    }
   }
   return results;
 }

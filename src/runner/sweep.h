@@ -1,6 +1,6 @@
 // Sweep: expand a ScenarioSpec over axes into a cross-product of runs, and
-// SweepRunner: execute the grid on a sharded worker pool with per-run
-// deterministic seeding, returning structured RunResult records.
+// SweepRunner: execute the grid on a worker pool with per-run deterministic
+// seeding, returning structured RunResult records.
 //
 // Axes mutate the spec through ScenarioSpec::set(), so anything addressable
 // from the CLI is sweepable ("n", "seed", "mu", "topo", "drift.period", ...).
@@ -9,18 +9,10 @@
 // throws is recorded as an error in its RunResult instead of aborting the
 // sweep.
 //
-// ## Sharded execution (see SweepRunner::run)
-//
-// The grid is block-partitioned into one shard per worker. Each worker owns
-// a cache-line-padded shard: a deque of run indices it pops from the front,
-// plus a private result list. A worker whose shard runs dry STEALS from the
-// back of the longest remaining shard, so heterogeneous run lengths (a "n"
-// axis spanning 8..1024) cannot strand one worker with all the long runs.
-// All per-run state — Scenario arenas, RNG streams, result storage — is
-// constructed on the owning worker's thread (first-touch local, no sharing;
-// on NUMA machines the OS places those pages on the worker's node), and the
-// per-shard result lists are merged into grid order by run index after the
-// join, so results are byte-identical for every thread count.
+// Execution (see SweepRunner::run): workers claim grid indices one at a time
+// from a shared atomic counter and write each result straight into its grid
+// slot, so results come back in grid order whatever the thread count. All
+// per-run state is constructed on the claiming worker's thread.
 #pragma once
 
 #include <functional>

@@ -5,25 +5,23 @@
 // described by a compact 32-byte record instead of a type-erased closure, so
 // scheduling them allocates nothing. The record is the kernel's per-slot hot
 // storage, copied in and out as one aligned block; only the ordering
-// metadata, the escape-hatch dispatcher pointer and closures live in
-// separate side arrays — see the SoA slot layout in simulator.h. Wire
-// payloads do not ride in the record at all: the transport keeps them in its
-// generation-tagged message arena (net/arena.h) and the record carries an
-// opaque 64-bit reference, which is also why this header no longer depends
+// metadata, closures and inline payload blobs live in separate side arrays
+// — see the SoA slot layout in simulator.h. Wire payloads do not ride in the
+// record itself: small-fan-out deliveries park 32 opaque bytes in the
+// kernel's inline-blob side array (kEventFlagInlineBlob), and fan-out
+// deliveries keep them in the transport's generation-tagged message arena
+// (net/arena.h) with the record carrying an opaque 64-bit reference. The
+// kernel never interprets either, which is why this header does not depend
 // on net/message.h.
 //
 // ## Dispatch channels
 //
-// A fired typed event is handed back to its owner in one of two ways:
-//
-//  * channel dispatch (hot): the owner registered itself with
-//    Simulator::register_dispatch_channel(self, fn) and stamps the returned
-//    channel id into its records. The kernel calls the registered plain
-//    function pointer, whose body is a direct (devirtualized) call into the
-//    `final` owner class — no vtable load on the fire path.
-//  * virtual dispatch (cold escape hatch): records built with an
-//    EventDispatcher* (channel = kNoChannel) go through the classic virtual
-//    call. Tests, adversaries and one-off scheduling use this arm.
+// A fired typed event is handed back to its owner through a dispatch
+// channel: the owner registered itself with
+// Simulator::register_dispatch_channel(self, fn) and stamps the returned
+// channel id into its records. The kernel calls the registered plain
+// function pointer, whose body is a direct call into the owner class — no
+// vtable load on the fire path.
 //
 // ## Lifecycle invariants (see docs/ARCHITECTURE.md for the full table)
 //
@@ -90,8 +88,8 @@ enum class EventKind : std::uint8_t {
   return "?";
 }
 
-/// "No registered dispatch channel": the event dispatches through its
-/// EventDispatcher* target (the virtual escape hatch).
+/// "No registered dispatch channel": the channel of kClosure records and of
+/// an owner before it registers. Never valid on a scheduled typed event.
 inline constexpr std::uint8_t kNoChannel = 0xFF;
 
 /// SimEvent::flags bit: the event carries a 32-byte inline payload blob in
@@ -102,27 +100,13 @@ inline constexpr std::uint8_t kNoChannel = 0xFF;
 /// MessageArena bookkeeping costs more than the plain payload copy.
 inline constexpr std::uint8_t kEventFlagInlineBlob = 0x01;
 
-struct SimEvent;
-
-/// Implemented by owners that receive typed events back through the virtual
-/// escape hatch (tests, ad-hoc dispatchers). The engine and the transport
-/// also implement it, but their hot events travel through a registered
-/// dispatch channel instead (see the header comment).
-class EventDispatcher {
- public:
-  virtual ~EventDispatcher() = default;
-  virtual void dispatch(const SimEvent& ev) = 0;
-};
-
 /// A scheduled event, as handed to Simulator::schedule_event_at and handed
 /// back to the owner at fire time. This IS the kernel's per-slot hot record:
 /// exactly 32 aligned bytes (half the old 64-byte record, which also dragged
 /// an inline std::variant payload along), copied in and out as one aligned
 /// block — field-wise repacking measurably loses to the straight struct copy.
 /// Note there is no dispatcher pointer here: channel dispatch needs only the
-/// one-byte channel id, and the virtual escape hatch parks its
-/// EventDispatcher* in the kernel's cold side array (see
-/// Simulator::schedule_event_at's target overload).
+/// one-byte channel id.
 ///
 /// `payload_ref` is fully opaque to the kernel — it is stored and handed
 /// back untouched. The transport packs a MessageArena ref there (slot

@@ -63,7 +63,6 @@ std::uint32_t Simulator::acquire_slot() {
   }
   meta_.emplace_back();
   recs_.emplace_back();
-  targets_.emplace_back();
   closures_.emplace_back();
   // blobs_ is NOT grown here: zeroing 32 bytes per slot would tax every
   // schedule; the blob overload below grows it on demand instead.
@@ -349,14 +348,6 @@ EventId Simulator::schedule_event_at(Time at, const SimEvent& ev,
   return id;
 }
 
-EventId Simulator::schedule_event_at(Time at, SimEvent ev, EventDispatcher* target) {
-  require(target != nullptr, "Simulator: null dispatch target");
-  ev.channel = kNoChannel;  // route the fire through the virtual arm
-  const EventId id = schedule_event_at(at, ev);
-  targets_[static_cast<std::uint32_t>(id.value)] = target;
-  return id;
-}
-
 EventId Simulator::schedule_at(Time at, Callback fn) {
   const EventId id = schedule_event_at(at, SimEvent{});
   // The slot index is the low EventId bits; park the callback beside it.
@@ -437,26 +428,17 @@ void Simulator::fire_entry(const HeapEntry& top) {
     fn();
     return;
   }
-  if (ev.channel != kNoChannel) [[likely]] {
-    release_slot(slot, ev.kind);
-    // Channel dispatch: one indirect call through a plain function pointer
-    // whose body is a direct call into the final owner class.
-    const Channel ch = channels_[ev.channel];
-    ch.fn(ch.self, ev);
-  } else {
-    EventDispatcher* const target = targets_[slot];  // cold escape arm
 #ifndef NDEBUG
-    // A typed record with channel == kNoChannel is only valid through the
-    // target overload; scheduling one through the channel-dispatch overload
-    // leaves a null (or a recycled slot's stale) pointer here. Catch the
-    // null case at the fire site instead of segfaulting in the callee.
-    require(target != nullptr,
-            "Simulator: kNoChannel event fired without a dispatch target "
-            "(use the schedule_event_at(at, ev, target) overload)");
+  // A typed record must carry a registered channel; kNoChannel (an owner
+  // that scheduled before registering) would index past channels_.
+  require(ev.channel < channels_.size(),
+          "Simulator: typed event fired without a registered dispatch channel");
 #endif
-    release_slot(slot, ev.kind);
-    target->dispatch(ev);
-  }
+  release_slot(slot, ev.kind);
+  // Channel dispatch: one indirect call through a plain function pointer
+  // whose body is a direct call into the owner class.
+  const Channel ch = channels_[ev.channel];
+  ch.fn(ch.self, ev);
 }
 
 bool Simulator::step() {

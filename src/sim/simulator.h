@@ -65,14 +65,13 @@
 //                 record and aligned, so schedule-in/fire-out touches ONE
 //                 line per event and compiles to straight 16-byte block
 //                 copies (field-wise repacking measurably loses to this)
-//   targets_      escape-hatch EventDispatcher*, written/read ONLY for
-//                 virtual-dispatch typed events (channel == kNoChannel)
 //   closures_     out-of-line std::function, kClosure slots only
+//   blobs_        32 inline payload bytes, flagged typed events only
 //
 // The ordering key (16-byte HeapEntry) is what migrates between timer tiers;
-// slot data never moves after schedule time. Payload bytes never enter the
-// kernel at all: deliveries carry an opaque arena reference (see
-// net/arena.h).
+// slot data never moves after schedule time. Payload bytes reach the kernel
+// only as opaque inline blobs (see below); fan-out deliveries carry an
+// opaque arena reference instead (see net/arena.h).
 //
 // ## Fire path: batch drain + devirtualized dispatch
 //
@@ -85,9 +84,8 @@
 // front against the overlay root before every pop, so a later-scheduled but
 // earlier-firing event still preempts the run. Typed events dispatch through
 // a registered channel: a plain function pointer whose body makes a direct
-// call into the `final` owner (Engine/Transport) — no vtable load; records
-// built with an EventDispatcher* keep the virtual call as the cold escape
-// hatch. The steady-state schedule/fire/cancel cycle performs no allocation.
+// call into the owner (Engine/Transport) — no vtable load. The steady-state
+// schedule/fire/cancel cycle performs no allocation.
 //
 // ## Instant boundaries
 //
@@ -189,8 +187,7 @@ class Simulator {
 
   /// Schedule a typed event record (no allocation; one aligned 32-byte copy
   /// into the kernel's slot storage). Same time rules. The event's channel
-  /// must be a registered dispatch channel (unchecked on this hot path) —
-  /// use the `target` overload for the virtual escape hatch.
+  /// must be a registered dispatch channel (unchecked on this hot path).
   EventId schedule_event_at(Time at, const SimEvent& ev);
   EventId schedule_event_after(Duration delay, const SimEvent& ev) {
     return schedule_event_at(now_ + delay, ev);
@@ -208,14 +205,6 @@ class Simulator {
   /// only inside the dispatch of an event flagged kEventFlagInlineBlob;
   /// stable for the whole handler call (handlers may schedule freely).
   [[nodiscard]] const InlineBlob& fired_blob() const { return fired_blob_; }
-
-  /// Virtual escape hatch: dispatch the fired event through `target` instead
-  /// of a registered channel (tests, adversaries, ad-hoc dispatchers). The
-  /// pointer lives in a cold side array, not the hot record.
-  EventId schedule_event_at(Time at, SimEvent ev, EventDispatcher* target);
-  EventId schedule_event_after(Duration delay, SimEvent ev, EventDispatcher* target) {
-    return schedule_event_at(now_ + delay, ev, target);
-  }
 
   /// Cancel a pending event. Returns false if already fired/cancelled.
   bool cancel(EventId id);
@@ -401,9 +390,8 @@ class Simulator {
   std::vector<HeapEntry> l1_[kL1Count];
   std::vector<HeapEntry> l2_[kL2Count];
   std::vector<HeapEntry> far_;
-  std::vector<SlotMeta> meta_;       ///< parallel to recs_/targets_/closures_
+  std::vector<SlotMeta> meta_;       ///< parallel to recs_/closures_
   std::vector<SimEvent> recs_;       ///< hot 32-byte event records by slot
-  std::vector<EventDispatcher*> targets_;  ///< virtual escape hatch only
   std::vector<Callback> closures_;   ///< kClosure callbacks, same slot index
   std::vector<InlineBlob> blobs_;    ///< inline payload bytes, same slot index
   std::vector<std::uint32_t> free_slots_;

@@ -79,11 +79,10 @@ TEST(SweepRunner, DeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(SweepRunner, WorkStealingHandlesHeterogeneousRunLengths) {
-  // A strongly skewed grid: the first shard's runs are ~64x the work of the
-  // last shard's, so with a static partition the later workers go idle and
-  // must STEAL from the loaded shard. Results must still land in grid order
-  // and match the serial execution bit-for-bit.
+TEST(SweepRunner, HeterogeneousRunLengthsLandInGridOrder) {
+  // A strongly skewed grid: the first runs are ~64x the work of the last,
+  // so workers finish out of grid order. Results must still land in grid
+  // order and match the serial execution bit-for-bit.
   auto base = small_line();
   Sweep sweep(base);
   sweep.axis("n", std::vector<int>{32, 32, 4, 4, 4, 4, 4, 4});
@@ -92,17 +91,17 @@ TEST(SweepRunner, WorkStealingHandlesHeterogeneousRunLengths) {
   options.threads = 1;
   const auto serial = SweepRunner(options).run(sweep);
   options.threads = 4;
-  const auto stolen = SweepRunner(options).run(sweep);
+  const auto parallel = SweepRunner(options).run(sweep);
   ASSERT_EQ(serial.size(), 8u);
-  ASSERT_EQ(stolen.size(), 8u);
+  ASSERT_EQ(parallel.size(), 8u);
   for (std::size_t i = 0; i < serial.size(); ++i) {
     ASSERT_TRUE(serial[i].ok()) << serial[i].error;
-    ASSERT_TRUE(stolen[i].ok()) << stolen[i].error;
-    EXPECT_EQ(serial[i].index, stolen[i].index);
-    EXPECT_EQ(serial[i].n, stolen[i].n);
-    EXPECT_DOUBLE_EQ(serial[i].final_global, stolen[i].final_global);
-    EXPECT_DOUBLE_EQ(serial[i].max_local, stolen[i].max_local);
-    EXPECT_EQ(serial[i].events, stolen[i].events);
+    ASSERT_TRUE(parallel[i].ok()) << parallel[i].error;
+    EXPECT_EQ(serial[i].index, parallel[i].index);
+    EXPECT_EQ(serial[i].n, parallel[i].n);
+    EXPECT_DOUBLE_EQ(serial[i].final_global, parallel[i].final_global);
+    EXPECT_DOUBLE_EQ(serial[i].max_local, parallel[i].max_local);
+    EXPECT_EQ(serial[i].events, parallel[i].events);
   }
 }
 
