@@ -85,8 +85,9 @@ double weighted_diameter(const AdjacencyList& adj) {
     // n-1 undirected edges: connected => tree (disconnected shows up as +inf
     // below either way). On a tree the classic double sweep finds the exact
     // diameter with two Dijkstras instead of n: the farthest node from any
-    // start is a diameter endpoint. This keeps large-scenario construction
-    // (suggest_gtilde on line/tree topologies) out of O(n^2 log n).
+    // start is a diameter endpoint. Together with the uniform-weight branch
+    // below, this keeps large-scenario construction (suggest_gtilde) out of
+    // O(n^2 log n).
     const auto from_start = dijkstra(adj, 0);
     const NodeId a = farthest_node(from_start);
     if (!std::isfinite(from_start[static_cast<std::size_t>(a)])) {
@@ -94,6 +95,30 @@ double weighted_diameter(const AdjacencyList& adj) {
     }
     const auto from_a = dijkstra(adj, a);
     return from_a[static_cast<std::size_t>(farthest_node(from_a))];
+  }
+  const WeightedEdge* first = nullptr;
+  bool uniform = true;
+  for (const auto& nbrs : adj) {
+    for (const auto& edge : nbrs) {
+      if (first == nullptr) first = &edge;
+      uniform = uniform && edge.weight == first->weight;
+    }
+  }
+  if (uniform) {
+    // One weight w everywhere (suggest_gtilde's kappa graph): BFS from every
+    // source in O(n * m). Bit-identical to Dijkstra: each relaxation adds w to
+    // a settled distance, so a node h hops away gets the h-fold sequential sum
+    // S(h), and S never decreases.
+    int hops = 0;
+    for (NodeId u = 0; u < static_cast<NodeId>(adj.size()); ++u) {
+      for (int h : bfs_hops(adj, u)) {
+        if (h < 0) return kTimeInf;
+        hops = std::max(hops, h);
+      }
+    }
+    double diameter = 0.0;
+    for (int h = 0; h < hops; ++h) diameter += first->weight;
+    return diameter;
   }
   double diameter = 0.0;
   for (NodeId u = 0; u < static_cast<NodeId>(adj.size()); ++u) {

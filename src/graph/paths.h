@@ -31,6 +31,9 @@ std::vector<double> dijkstra(const AdjacencyList& adj, NodeId src);
 std::vector<int> bfs_hops(const AdjacencyList& adj, NodeId src);
 
 /// Max over pairs of shortest-path weight; +inf if disconnected, 0 if n<=1.
+/// Trees take a double sweep (two Dijkstras); graphs whose edges all share
+/// one weight take BFS from every source, bit-identical to Dijkstra; mixed
+/// weights run Dijkstra from every source.
 double weighted_diameter(const AdjacencyList& adj);
 
 }  // namespace gcs

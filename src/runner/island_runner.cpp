@@ -92,6 +92,14 @@ IslandRunner::IslandRunner(ScenarioSpec spec, IslandExecutionPlan plan)
     : spec_(std::move(spec)), plan_(std::move(plan)) {
   require(plan_.islands_enabled,
           "IslandRunner: plan is a serial fallback (" + plan_.fallback_reason + ")");
+  // Every replica would derive the same G̃ from the same t=0 topology; derive
+  // it once here and hand the shards the resolved value.
+  if (spec_.gtilde_auto) {
+    const TopologyResult topo = materialize_topology(spec_);
+    spec_.aopt.gtilde_static =
+        suggest_gtilde(topo.n, topo.edges, spec_.edge_params, spec_.aopt);
+    spec_.gtilde_auto = false;
+  }
   const int k = plan_.partition.islands;
   const int n = static_cast<int>(plan_.partition.island_of.size());
   masks_.resize(static_cast<std::size_t>(k));

@@ -27,6 +27,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -289,6 +291,44 @@ TEST(FingerprintInvariance, IslandWorkerCountDoesNotChangeHashes) {
   EXPECT_GE(islanded_runs, 5u)
       << "too few rows take the real multi-shard path; the island "
          "determinism gate needs real coverage (add islandable rows)";
+}
+
+TEST(FingerprintInvariance, IslandShardsRunTheSerialGtilde) {
+  // IslandRunner derives G̃ once and hands every shard the resolved value: it
+  // must be the very double a serial Scenario derives on the same spec.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  ScenarioSpec spec;
+  for (const Case& c : sim_cases()) {
+    if (c.name == "grid-walk-beacon-edgeuniform") spec = c.spec;
+  }
+  ASSERT_EQ(spec.name, "fp-isl-grid");
+  ASSERT_TRUE(spec.gtilde_auto);
+  spec.islands = 4;
+  const double serial = Scenario(spec).spec().aopt.gtilde_static;
+
+  IslandExecutionPlan plan = plan_islands(spec);
+  ASSERT_TRUE(plan.islands_enabled) << plan.fallback_reason;
+  IslandRunner derived(spec, std::move(plan));
+  ASSERT_EQ(derived.shards(), 4);
+  for (int i = 0; i < derived.shards(); ++i) {
+    const ScenarioSpec& shard = derived.shard(i).spec();
+    EXPECT_EQ(bits(shard.aopt.gtilde_static), bits(serial)) << "shard " << i;
+    // A shard spec serializes the resolved G̃, and that string round-trips.
+    const ScenarioSpec reparsed = fptable::spec_from_str(shard.str());
+    EXPECT_FALSE(reparsed.gtilde_auto);
+    EXPECT_EQ(bits(reparsed.aopt.gtilde_static), bits(serial)) << "shard " << i;
+    EXPECT_EQ(reparsed.str(), shard.str());
+  }
+
+  // A given G̃ passes through untouched.
+  spec.gtilde_auto = false;
+  spec.aopt.gtilde_static = 2.0 * serial + 0.1;
+  IslandRunner given(spec, plan_islands(spec));
+  for (int i = 0; i < given.shards(); ++i) {
+    EXPECT_FALSE(given.shard(i).spec().gtilde_auto);
+    EXPECT_EQ(bits(given.shard(i).spec().aopt.gtilde_static), bits(spec.aopt.gtilde_static))
+        << "shard " << i;
+  }
 }
 
 TEST(FingerprintInvariance, LockstepRtRowsAreReproducible) {

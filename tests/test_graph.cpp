@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
+#include "core/params.h"
 #include "graph/adversary.h"
 #include "graph/dynamic_graph.h"
 #include "graph/paths.h"
 #include "graph/topology.h"
+#include "runner/scenario.h"
 #include "sim/simulator.h"
 
 namespace gcs {
@@ -196,6 +199,70 @@ TEST(Paths, UnreachableIsInfinite) {
 TEST(Paths, WeightedDiameterOfRing) {
   const auto adj = build_adjacency(6, topo_ring(6), [](const EdgeKey&) { return 1.0; });
   EXPECT_DOUBLE_EQ(weighted_diameter(adj), 3.0);
+}
+
+/// Reference diameter: Dijkstra from every source, max over all distances.
+double all_pairs_dijkstra_diameter(const AdjacencyList& adj) {
+  double diameter = 0.0;
+  for (NodeId u = 0; u < static_cast<NodeId>(adj.size()); ++u) {
+    for (double d : dijkstra(adj, u)) diameter = std::max(diameter, d);
+  }
+  return diameter;
+}
+
+TEST(Paths, UniformWeightDiameterIsBitIdenticalToDijkstra) {
+  // suggest_gtilde's graph: every edge weighs the same kappa. That kappa is
+  // 0.3125, whose sums are exact, so 0.1 (whose repeated sums round) also
+  // runs: it tells the sequential sum from e.g. hops * w.
+  const double kappa =
+      AlgoParams{}.edge_constants(default_edge_params(0.05, 0.25, 0.5, 0.1)).kappa;
+  Rng rng(11);
+  std::vector<Point2> positions;
+  const struct {
+    const char* name;
+    int n;
+    std::vector<EdgeKey> edges;
+  } cases[] = {
+      {"grid-64x64", 64 * 64, topo_grid(64, 64)},
+      {"grid-7x13", 7 * 13, topo_grid(7, 13)},
+      {"ring", 101, topo_ring(101)},
+      {"complete", 64, topo_complete(64)},
+      {"star", 50, topo_star(50)},
+      {"gnp", 60, topo_gnp_connected(60, 0.08, rng)},
+      {"random-geometric", 80, topo_random_geometric(80, 0.2, rng, &positions)},
+      {"random-tree", 70, topo_random_tree(70, rng)},
+  };
+  for (const auto& c : cases) {
+    for (const double w : {kappa, 0.1}) {
+      const auto adj = build_adjacency(c.n, c.edges, [w](const EdgeKey&) { return w; });
+      const double expect = all_pairs_dijkstra_diameter(adj);
+      ASSERT_TRUE(std::isfinite(expect)) << c.name;
+      EXPECT_EQ(weighted_diameter(adj), expect) << c.name << " w=" << w;
+    }
+  }
+}
+
+TEST(Paths, UniformWeightDiameterEdgeCases) {
+  const auto weight = [](const EdgeKey&) { return 0.3; };
+  // Disconnected: a ring of 4 plus two isolated nodes, and an edgeless pair.
+  EXPECT_TRUE(std::isinf(weighted_diameter(build_adjacency(6, topo_ring(4), weight))));
+  EXPECT_TRUE(std::isinf(weighted_diameter(build_adjacency(2, {}, weight))));
+  EXPECT_EQ(weighted_diameter(build_adjacency(1, {}, weight)), 0.0);
+  EXPECT_EQ(weighted_diameter(build_adjacency(0, {}, weight)), 0.0);
+}
+
+TEST(Paths, MixedWeightDiameterStaysDijkstra) {
+  // The heavy 0-2 chord must not be taken for one hop.
+  const std::vector<EdgeKey> triangle{EdgeKey(0, 1), EdgeKey(1, 2), EdgeKey(0, 2)};
+  const auto tri = build_adjacency(3, triangle, [](const EdgeKey& e) {
+    return (e == EdgeKey(0, 2)) ? 5.0 : 1.0;
+  });
+  EXPECT_EQ(weighted_diameter(tri), 2.0);
+
+  const auto grid = build_adjacency(7 * 13, topo_grid(7, 13), [](const EdgeKey& e) {
+    return 0.7 + 0.1 * static_cast<double>((e.a + 3 * e.b) % 5);
+  });
+  EXPECT_EQ(weighted_diameter(grid), all_pairs_dijkstra_diameter(grid));
 }
 
 TEST(ScriptedAdversaryTest, ReplaysEvents) {

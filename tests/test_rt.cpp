@@ -464,8 +464,8 @@ TEST(PipeHub, CorruptionProbabilityIsSeedDeterministic) {
 
 TEST(UdpTransportSuite, ChaosDropsAreNotSendErrors) {
   VirtualClock clock;
-  UdpTransport a(2, 0, 34710, &clock);
-  UdpTransport b(2, 1, 34710, &clock);
+  UdpTransport a(2, 0, 24710, &clock);
+  UdpTransport b(2, 1, 24710, &clock);
   a.set_link_fault(0, 1, LinkFault{1.0f, 0.0f});
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(a.send(beacon_msg(0, 1, i)));
   EXPECT_EQ(a.dropped(), 5u);
@@ -488,8 +488,8 @@ TEST(UdpTransportSuite, ChaosDropsAreNotSendErrors) {
 
 TEST(UdpTransportSuite, CorruptedDatagramsAreRejectedAtIngress) {
   VirtualClock clock;
-  UdpTransport a(2, 0, 34730, &clock);
-  UdpTransport b(2, 1, 34730, &clock);
+  UdpTransport a(2, 0, 24730, &clock);
+  UdpTransport b(2, 1, 24730, &clock);
   a.set_link_fault(0, 1, LinkFault{0.0f, 0.0f, 1.0f});
   constexpr std::uint64_t kCount = 20;
   for (std::uint64_t i = 0; i < kCount; ++i) {
@@ -511,7 +511,7 @@ TEST(UdpTransportSuite, LatencyStormWithoutAClockFailsLoudly) {
   // A clock-less UdpTransport cannot hold frames back, so a latency storm
   // would silently degrade to zero extra delay — the transport must refuse
   // to arm it instead of lying about the fault it injects.
-  UdpTransport a(2, 0, 34750, /*clock=*/nullptr);
+  UdpTransport a(2, 0, 24750, /*clock=*/nullptr);
   EXPECT_THROW(a.set_link_fault(0, 1, LinkFault{0.0f, 1.5f}),
                std::runtime_error);
   // Faults that need no clock still arm fine.
@@ -525,8 +525,8 @@ TEST(UdpTransportSuite, LatencyStormWithoutAClockFailsLoudly) {
 
 TEST(TcpTransportSuite, DeliversOverRealConnections) {
   VirtualClock clock;
-  TcpTransport a(2, 0, 46000, clock);
-  TcpTransport b(2, 1, 46000, clock);
+  TcpTransport a(2, 0, 26000, clock);
+  TcpTransport b(2, 1, 26000, clock);
   // First send dials; the frame rides the connection as soon as the
   // non-blocking connect completes.
   EXPECT_TRUE(a.send(beacon_msg(0, 1, 7.0)));
@@ -549,8 +549,8 @@ TEST(TcpTransportSuite, DeliversOverRealConnections) {
 
 TEST(TcpTransportSuite, ResetEntersBackoffThenReestablishes) {
   VirtualClock clock;
-  TcpTransport a(2, 0, 46010, clock);
-  TcpTransport b(2, 1, 46010, clock);
+  TcpTransport a(2, 0, 26010, clock);
+  TcpTransport b(2, 1, 26010, clock);
   WireMsg out;
   a.send(beacon_msg(0, 1, 1.0));
   for (int i = 0; i < 2000 && !b.poll(1, out); ++i) {
@@ -594,7 +594,7 @@ TEST(TcpTransportSuite, BackoffGrowsExponentiallyAndStaysCapped) {
   cfg.backoff_base = 0.05;
   cfg.backoff_max = 1.6;
   cfg.jitter = 0.25;
-  TcpTransport a(2, 0, 46020, clock, 1, cfg);
+  TcpTransport a(2, 0, 26020, clock, 1, cfg);
   std::vector<Duration> backoffs;
   for (int i = 0; i < 12; ++i) {
     // Drive the machine until this dial attempt fails. A refused loopback
@@ -624,8 +624,8 @@ TEST(TcpTransportSuite, BackoffGrowsExponentiallyAndStaysCapped) {
 
 TEST(TcpTransportSuite, CorruptedFramesAreRejectedAtIngress) {
   VirtualClock clock;
-  TcpTransport a(2, 0, 46030, clock);
-  TcpTransport b(2, 1, 46030, clock);
+  TcpTransport a(2, 0, 26030, clock);
+  TcpTransport b(2, 1, 26030, clock);
   a.set_link_fault(0, 1, LinkFault{0.0f, 0.0f, 1.0f});
   constexpr std::uint64_t kCount = 25;
   WireMsg out;
@@ -774,9 +774,9 @@ TEST(PipeHub, ChaosDecisionsArePinnedForSenderOne) {
 
 TEST(UdpTransportSuite, ChaosDecisionsArePinnedForSenderOne) {
   VirtualClock clock;
-  RawSink sink(SOCK_DGRAM, 34772);
+  RawSink sink(SOCK_DGRAM, 24772);
   ASSERT_TRUE(sink.ok());
-  UdpTransport a(4, 1, 34770, &clock);
+  UdpTransport a(4, 1, 24770, &clock);
   a.set_link_fault(1, 2, kPinFault);
   std::size_t wire_bytes = 0;
   const std::uint64_t h = pin_decisions(
@@ -797,9 +797,9 @@ TEST(UdpTransportSuite, ChaosDecisionsArePinnedForSenderOne) {
 
 TEST(TcpTransportSuite, ChaosDecisionsArePinnedForSenderOne) {
   VirtualClock clock;
-  RawSink sink(SOCK_STREAM, 46042);
+  RawSink sink(SOCK_STREAM, 26042);
   ASSERT_TRUE(sink.ok());
-  TcpTransport a(4, 1, 46040, clock);
+  TcpTransport a(4, 1, 26040, clock);
   a.set_link_fault(1, 2, kPinFault);
   std::size_t wire_bytes = 0;
   WireMsg scratch;
@@ -873,16 +873,16 @@ void check_storm_release_order(VirtualClock& clock, T& a, T& b) {
 
 TEST(UdpTransportSuite, LatencyStormReleasesInDueThenSendOrder) {
   VirtualClock clock;
-  UdpTransport a(2, 0, 34790, &clock);
-  UdpTransport b(2, 1, 34790, &clock);
+  UdpTransport a(2, 0, 24790, &clock);
+  UdpTransport b(2, 1, 24790, &clock);
   check_storm_release_order(clock, a, b);
   EXPECT_EQ(b.received(), 5u);
 }
 
 TEST(TcpTransportSuite, LatencyStormReleasesInDueThenSendOrder) {
   VirtualClock clock;
-  TcpTransport a(2, 0, 46050, clock);
-  TcpTransport b(2, 1, 46050, clock);
+  TcpTransport a(2, 0, 26050, clock);
+  TcpTransport b(2, 1, 26050, clock);
   check_storm_release_order(clock, a, b);
   EXPECT_EQ(b.received(), 5u);
   EXPECT_EQ(a.conn_down(), 0u);
@@ -1465,8 +1465,8 @@ TEST(RtClusterTcp, LockstepChaosRunsAreBitDeterministic) {
   // frame. Distinct base ports per run; the port never enters any RNG.
   const std::string script =
       "at 10 corrupt 0 1 0.5; at 20 clear 0 1; at 30 conn-reset 1 2";
-  const LockstepRun a = run_tcp_chaos_cluster(rt_spec(4), script, 50.0, 46100);
-  const LockstepRun b = run_tcp_chaos_cluster(rt_spec(4), script, 50.0, 46140);
+  const LockstepRun a = run_tcp_chaos_cluster(rt_spec(4), script, 50.0, 26100);
+  const LockstepRun b = run_tcp_chaos_cluster(rt_spec(4), script, 50.0, 26140);
   ASSERT_EQ(a.logical.size(), b.logical.size());
   for (std::size_t u = 0; u < a.logical.size(); ++u) {
     EXPECT_EQ(a.logical[u], b.logical[u]) << "node " << u << " diverged";
@@ -1504,7 +1504,7 @@ TEST(RtClusterTcp, ReconnectStormRecoversWithBoundedBackoff) {
   const std::string script =
       "at 10 conn-reset 0 1; at 12 conn-reset 0 1; at 14 conn-reset 0 1; "
       "at 16 conn-reset 0 1; at 18 conn-reset 0 1";
-  LockstepRun run = run_tcp_chaos_cluster(rt_spec(3), script, 60.0, 46180);
+  LockstepRun run = run_tcp_chaos_cluster(rt_spec(3), script, 60.0, 26180);
   RtCluster& cluster = *run.cluster;
 
   // Both owners of the link's two unidirectional connections saw all five
