@@ -287,11 +287,11 @@ BENCHMARK_CAPTURE(BM_IslandScenarioSimulation, line_1024, "line", 1024, 20.0)
 BENCHMARK_CAPTURE(BM_IslandScenarioSimulation, complete_64, "complete", 64, 20.0)
     ->ArgName("islands")->Arg(1)->Arg(2)->Arg(8)->UseRealTime();
 
-/// Sweep throughput through the sharded work-stealing SweepRunner: a grid
+/// Sweep throughput through SweepRunner's shared-counter worker pool: a grid
 /// of independent line scenarios, reported as runs/second. The thread-count
 /// arg exposes the scaling curve (on a multi-core host, near-linear to the
 /// core count; the committed baselines from a 1-core container show the
-/// sharding overhead is negligible when scaling is impossible).
+/// pool's overhead is negligible when scaling is impossible).
 void BM_SweepThroughput(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   auto base = kernel_spec(24);

@@ -1,24 +1,43 @@
 #include "exp_common.h"
 
 #include <cmath>
-#include <cstdlib>
 
 namespace gcs::bench {
 
-std::vector<int> parse_int_list(const std::string& csv, std::vector<int> def) {
-  if (csv.empty()) return def;
-  std::vector<int> out;
-  for (const std::string& token : split(csv, ',')) {
-    if (!token.empty()) out.push_back(std::atoi(token.c_str()));
+std::vector<RunResult> Claim::run(const Sweep& sweep, SweepRunner::RunFn run_fn,
+                                  SweepRunner::SpecFn spec_fn) const {
+  SweepRunner runner(options);
+  runner.set_run_fn(std::move(run_fn));
+  runner.set_spec_fn(std::move(spec_fn));
+  auto results = runner.run(sweep);
+  int failed = 0;
+  for (const RunResult& r : results) {
+    if (r.ok()) continue;
+    std::cerr << "run";
+    for (const auto& [key, value] : r.axes) std::cerr << " " << key << "=" << value;
+    std::cerr << " failed: " << r.error << "\n";
+    ++failed;
   }
-  return out.empty() ? def : out;
+  require(failed == 0, std::to_string(failed) + " of " + std::to_string(results.size()) +
+                           " runs failed");
+  return results;
 }
 
-void print_header(const std::string& id, const std::string& claim) {
-  std::cout << "\n################################################################\n"
-            << "# " << id << "\n"
-            << "# " << claim << "\n"
-            << "################################################################\n";
+void Claim::verdict(bool ok, const std::string& what) {
+  if (ok) return;
+  std::cerr << "verdict failed: " << what << "\n";
+  ++failed_verdicts;
+}
+
+std::vector<int> int_list(const ParamMap& p, const std::string& key, const std::string& def,
+                          std::size_t min_count) {
+  std::vector<int> out;
+  for (const std::string& token : split(p.get_str(key, def), ',')) {
+    out.push_back(parse_strict_int("param '" + key + "'", token));
+  }
+  require(out.size() >= min_count,
+          "param '" + key + "': needs at least " + std::to_string(min_count) + " values");
+  return out;
 }
 
 ScenarioSpec fast_line_spec(int n) {
