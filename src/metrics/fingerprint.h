@@ -8,8 +8,8 @@
 // into a rolling 64-bit hash. Two runs produce the same fingerprint iff
 // they fire the same events at bit-identical times in the same order with
 // the observed node's logical clock equal to within the quantum — i.e. the
-// fingerprint pins the trajectory the way the megabyte golden event trace
-// does, at the cost of ONE committed CSV row per scenario. That is what
+// fingerprint pins the trajectory the way a full event trace would, at the
+// cost of ONE committed CSV row per scenario. That is what
 // lets tests/fingerprints/fingerprints.csv pin dozens of scenario/spec
 // combinations across the registry's topology x algorithm x drift x
 // estimate cross-product, where a per-scenario golden trace could never
@@ -69,7 +69,7 @@ class TrajectoryFingerprinter final : public KernelTraceSink {
 
   /// Observe `engine`, forwarding every event to `chain` (optional), so the
   /// fingerprinter can share the single kernel-trace slot with another sink
-  /// (the golden-trace recorder does this in test_kernel_trace).
+  /// (test_fingerprint's per-row event dump does this).
   explicit TrajectoryFingerprinter(Engine& engine, KernelTraceSink* chain = nullptr)
       : engine_(&engine), chain_(chain) {}
 

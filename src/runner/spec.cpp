@@ -246,7 +246,7 @@ std::vector<std::pair<std::string, std::string>> ScenarioSpec::to_kv() const {
   kv.emplace_back("delays", delays_str(delays));
   kv.emplace_back("reference", std::to_string(reference_node));
   // Island keys are emitted only when set: every spec string minted before
-  // PR 9 (golden traces, pinned fingerprint rows) stays byte-identical.
+  // PR 9 (pinned fingerprint rows) stays byte-identical.
   if (islands != 0) kv.emplace_back("islands", islands_str(islands));
   if (island_budget >= 0) kv.emplace_back("island_budget", std::to_string(island_budget));
   return kv;

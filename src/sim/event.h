@@ -144,8 +144,8 @@ struct alignas(32) SimEvent {
 static_assert(sizeof(SimEvent) == 32, "SimEvent is the kernel's hot record");
 
 /// Passive probe of the kernel's fire sequence: called once per fired engine/
-/// transport event with (time, node, kind). Used by the dual-run equivalence
-/// harness (tests/test_kernel_trace.cpp) and available for ad-hoc debugging.
+/// transport event with (time, node, kind). Used by the trajectory
+/// fingerprinter (metrics/fingerprint.h) and available for ad-hoc debugging.
 class KernelTraceSink {
  public:
   virtual ~KernelTraceSink() = default;

@@ -539,7 +539,7 @@ void Simulator::run_before(Time t) {
   // is `>= t` (events AT t stay queued for after the caller's barrier), and
   // now_ is never idle-advanced to t (a peer shard may inject events at any
   // time in [now, t)). Kept as a separate body so run_until — the path every
-  // serial scenario, golden trace and pinned fingerprint runs through — is
+  // serial scenario and pinned fingerprint runs through — is
   // untouched.
   while (prepare_next()) {
     while (run_head_ < run_.size() &&

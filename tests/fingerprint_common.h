@@ -1,8 +1,7 @@
 // Shared fingerprint-table machinery: the scenario catalog behind
 // tests/fingerprints/fingerprints.csv, the CSV row codec, and the "run one
 // catalog entry" helper. Used by test_fingerprint.cpp (per-row pinning +
-// regeneration mode), test_kernel_trace.cpp (golden-trace cross-check) and
-// test_fuzz.cpp (thread-invariance property).
+// regeneration mode) and test_fuzz.cpp (thread-invariance property).
 //
 // The committed CSV is the source of truth for verification: each row
 // carries the full serialized spec, so a row is checkable in isolation
@@ -83,9 +82,8 @@ inline ScenarioSpec spec_from_str(const std::string& text) {
 
 // ---------------------------------------------------------------- catalog
 
-/// The golden-trace reference scenario (test_kernel_trace.cpp runs the same
-/// spec against the committed event trace; the "beacon-reference" table row
-/// pins its fingerprint, and regen_golden.sh requires the two to agree).
+/// The reference scenario behind the "beacon-reference" table row: a line
+/// whose run fires every typed event kind (test_fingerprint checks that).
 inline ScenarioSpec kernel_trace_reference_spec() {
   ScenarioSpec spec;
   spec.name = "kernel-trace-reference";
@@ -158,8 +156,7 @@ inline std::vector<Case> catalog() {
     cases.push_back(Case{name, "sim", horizon, "", inv, std::move(spec)});
   };
 
-  // The golden-trace reference, pinned at the same horizon as the trace
-  // (beacon estimates: PR 5's regeneration came back byte-identical).
+  // The reference row: beacon estimates, every typed event kind fires.
   sim("beacon-reference", kernel_trace_reference_spec(), true, 30.0);
 
   // Topology family sweep (AOPT, spread drift, uniform estimates).

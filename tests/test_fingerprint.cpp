@@ -15,6 +15,11 @@
 // catalog row is chosen to satisfy that, and this suite enforces it so a
 // future row cannot silently pin a mode-dependent hash).
 //
+// Localizing a mismatch: the per-row failure message prints how to dump the
+// row's full event sequence (DISABLED_DumpEvents, one `hexfloat-time node
+// kind` line per fired event) at two commits and diff the dumps; the first
+// hunk is the first divergent event.
+//
 // Regeneration: GCS_REGEN_FINGERPRINTS=1 rewrites the table from the
 // in-code catalog (scripts/regen_fingerprints.sh wraps this, checks
 // 1/2/8-thread, coalesce-off and 1/2/8-island agreement, and is the only
@@ -27,9 +32,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
+#include <iostream>
 #include <map>
 #include <string>
 #include <vector>
@@ -199,6 +207,44 @@ TEST(Fingerprint, CatalogMatchesCommittedTable) {
 
 // ---------------------------------------------------------- per-row pins
 
+/// Chained behind the fingerprinter: counts every fired event kind and, if
+/// `out` is set, writes one `hexfloat-time node kind` line per event
+/// (hexfloat is lossless, so equal lines mean bit-identical times).
+struct EventLog final : public KernelTraceSink {
+  std::ostream* out = nullptr;
+  std::array<std::uint64_t, 16> kinds{};
+
+  void on_event_fired(Time t, NodeId node, EventKind kind) override {
+    ++kinds[static_cast<std::size_t>(kind)];
+    if (out != nullptr) {
+      *out << std::hexfloat << t << ' ' << node << ' ' << to_string(kind) << '\n';
+    }
+  }
+};
+
+/// fptable::run_case for a sim row, with `log` chained behind the
+/// fingerprinter (the chained sink observes; it cannot change the run).
+FingerprintResult run_logged(const Case& c, EventLog& log) {
+  Scenario scenario(c.spec);
+  TrajectoryFingerprinter fp;
+  fp.attach(scenario, &log);
+  scenario.start();
+  scenario.run_until(c.horizon);
+  return FingerprintResult{fp.value(), fp.events()};
+}
+
+std::string events_file(const Row& row) { return row.name + ".events"; }
+
+/// How to find the first divergent event of a mismatching sim row.
+std::string divergence_hint(const Row& row) {
+  if (row.kind != "sim") return "";
+  return "\nTo find the first divergent event, run in a build of each commit\n"
+         "  ./test_fingerprint --gtest_also_run_disabled_tests "
+         "--gtest_filter=Table/PinnedFingerprint.DISABLED_DumpEvents/" +
+         sanitize(row.name) + "\nthen diff the two " + events_file(row) +
+         " files it writes; the first hunk is the first divergent event.";
+}
+
 class PinnedFingerprint : public ::testing::TestWithParam<Row> {};
 
 TEST_P(PinnedFingerprint, MatchesCommittedHash) {
@@ -212,12 +258,40 @@ TEST_P(PinnedFingerprint, MatchesCommittedHash) {
   }
   const Case c = fptable::case_from_row(row);
 
-  const FingerprintResult result = fptable::run_case(c);
+  EventLog log;
+  const FingerprintResult result =
+      c.kind == "sim" ? run_logged(c, log) : fptable::run_case(c);
   EXPECT_EQ(result.hash, row.hash)
       << "trajectory diverged from the pinned fingerprint for '" << row.name
       << "' — a behavior change reached a pinned scenario; see "
-         "docs/ARCHITECTURE.md § Fingerprint pinning before regenerating";
+         "docs/ARCHITECTURE.md § Fingerprint pinning before regenerating"
+      << divergence_hint(row);
   EXPECT_EQ(result.events, row.events) << "event count changed for '" << row.name << "'";
+
+  // The reference row must exercise every typed event kind, or its pin
+  // says less about the kernel than it seems to.
+  if (row.name == "beacon-reference") {
+    for (const EventKind kind :
+         {EventKind::kTick, EventKind::kBeacon, EventKind::kDriftChange,
+          EventKind::kMLockCatch, EventKind::kLogicalTarget, EventKind::kDelivery}) {
+      EXPECT_GT(log.kinds[static_cast<std::size_t>(kind)], 0u)
+          << "reference scenario fired no " << to_string(kind) << " events";
+    }
+  }
+}
+
+TEST_P(PinnedFingerprint, DISABLED_DumpEvents) {
+  const Row& row = GetParam();
+  if (row.kind != "sim") {
+    GTEST_SKIP() << "'" << row.name << "' folds lockstep samples, not kernel events";
+  }
+  std::ofstream f(events_file(row));
+  ASSERT_TRUE(f.good()) << "cannot write " << events_file(row);
+  EventLog log;
+  log.out = &f;
+  const FingerprintResult result = run_logged(fptable::case_from_row(row), log);
+  std::cout << "wrote " << result.events << " events to " << events_file(row)
+            << " (hash " << std::hex << result.hash << std::dec << ")\n";
 }
 
 INSTANTIATE_TEST_SUITE_P(Table, PinnedFingerprint,
