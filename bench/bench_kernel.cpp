@@ -259,7 +259,6 @@ void BM_IslandScenarioSimulation(benchmark::State& state, const char* topology,
   ScenarioSpec base = kernel_spec(n);
   base.topology = ComponentSpec::parse(topology);
   base.estimates = ComponentSpec("beacon");
-  base.delays = DelayMode::kEdgeUniform;
   std::uint64_t fired = 0;
   for (auto _ : state) {
     const IslandExecutionPlan plan = plan_islands(base, islands);

@@ -306,7 +306,7 @@ void AoptNode::reevaluate() {
     }
     if (lp.level_limit < 1) {
       // Discovery-set-only edges play no trigger role; their estimate is
-      // not read (keeps the oracle RNG stream identical to the full scan).
+      // not read (keeps the oracle draws identical to the full scan).
       lp.has_estimate = false;
       continue;
     }
@@ -316,7 +316,7 @@ void AoptNode::reevaluate() {
     bool have;
     double est = 0.0;
     if (oracle != nullptr) {
-      est = oracle->perturb(api_->peer_true_logical(h.id), own, lp.eps);
+      est = oracle->perturb(api_->id(), h.id, api_->peer_true_logical(h.id), own, lp.eps);
       have = true;
     } else if (beacon != nullptr) {
       if (!h.est_cached) {

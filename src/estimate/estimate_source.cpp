@@ -11,7 +11,10 @@ namespace gcs {
 OracleEstimateSource::OracleEstimateSource(DynamicGraph& graph,
                                            OracleErrorPolicy policy,
                                            std::uint64_t seed)
-    : graph_(graph), policy_(policy), rng_(seed) {}
+    : graph_(graph),
+      policy_(policy),
+      error_draw_(seed, Domain::kOracleError),
+      draws_(static_cast<std::size_t>(graph.size()), 0) {}
 
 std::optional<ClockValue> OracleEstimateSource::estimate(NodeId u, NodeId v) {
   require(clocks_ != nullptr, "OracleEstimateSource: bind() not called");
@@ -28,7 +31,7 @@ ClockValue OracleEstimateSource::estimate_present(NodeId u, NodeId v, double eps
   const ClockValue mine = policy_ == OracleErrorPolicy::kAdversarial
                               ? clocks_->true_logical(u)
                               : 0.0;
-  return perturb(truth, mine, eps);
+  return perturb(u, v, truth, mine, eps);
 }
 
 double OracleEstimateSource::eps(const EdgeKey& e) const {

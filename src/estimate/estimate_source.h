@@ -95,23 +95,24 @@ class OracleEstimateSource final : public EstimateSource {
 
   /// Fast path for callers that already know v is in u's view and know the
   /// edge's ε (the engine's algorithms cache both): skips the graph lookup.
-  /// Draws exactly the RNG stream estimate() would, so results are
-  /// identical when the preconditions hold.
+  /// Draws exactly what estimate() would, so results are identical when the
+  /// preconditions hold.
   ClockValue estimate_present(NodeId u, NodeId v, double eps);
 
   /// The error application of estimate_present, split out so an incremental
   /// scan that already holds the true clock values can skip the ClockAccess
-  /// virtual hops. `mine` is the caller's own current logical clock; it is
-  /// read only by the adversarial policy (where estimate_present would have
-  /// fetched true_logical(u), the same value at scan time). Consumes exactly
-  /// the RNG stream estimate_present would: one uniform draw per call under
-  /// kUniform, none otherwise.
-  ClockValue perturb(ClockValue truth, ClockValue mine, double eps) {
+  /// virtual hops. `mine` is u's own current logical clock; it is read only
+  /// by the adversarial policy (where estimate_present would have fetched
+  /// true_logical(u), the same value at scan time). Under kUniform each call
+  /// is one keyed draw on (u, v, u's draw count); the other policies draw
+  /// nothing.
+  ClockValue perturb(NodeId u, NodeId v, ClockValue truth, ClockValue mine, double eps) {
     switch (policy_) {
       case OracleErrorPolicy::kZero:
         return truth;
       case OracleErrorPolicy::kUniform:
-        return truth + rng_.uniform(-eps, eps);
+        return truth + error_draw_.uniform(-eps, eps, u, v,
+                                           draws_[static_cast<std::size_t>(u)]++);
       case OracleErrorPolicy::kAdversarial:
         // Shrink the perceived skew: report the neighbor ε closer to us than
         // it is (never crossing), which maximally delays trigger reactions.
@@ -125,7 +126,8 @@ class OracleEstimateSource final : public EstimateSource {
  private:
   DynamicGraph& graph_;
   OracleErrorPolicy policy_;
-  Rng rng_;
+  KeyedDraw error_draw_;
+  std::vector<std::uint64_t> draws_;  ///< per node u: error draws so far, the draw's k
 };
 
 /// Worst-case estimate error of the beacon provider for one edge:

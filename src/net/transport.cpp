@@ -28,7 +28,10 @@ InlineBlob to_blob(const Payload& payload) {
 }  // namespace
 
 Transport::Transport(Simulator& sim, DynamicGraph& graph, std::uint64_t seed)
-    : sim_(sim), graph_(graph), seed_(seed), rng_(seed) {
+    : sim_(sim),
+      graph_(graph),
+      delay_draw_(seed, Domain::kDelay),
+      sends_(static_cast<std::size_t>(graph.size()), 0) {
   // Channel dispatch: the thunk's static_cast call is a direct call, so
   // fired deliveries never go through a vtable.
   channel_ = sim_.register_dispatch_channel(this, [](void* self, const SimEvent& ev) {
@@ -45,6 +48,7 @@ void Transport::clear_directional_delay(NodeId from, NodeId to) {
 }
 
 Duration Transport::pick_delay(NodeId from, NodeId to, const EdgeParams& params) {
+  const std::uint64_t k = sends_[static_cast<std::size_t>(from)]++;
   if (!directional_override_.empty()) {  // adversarial runs only
     const auto it = directional_override_.find(dir_key(from, to));
     if (it != directional_override_.end()) {
@@ -53,24 +57,11 @@ Duration Transport::pick_delay(NodeId from, NodeId to, const EdgeParams& params)
   }
   switch (delay_mode_) {
     case DelayMode::kUniform:
-      return rng_.uniform(params.msg_delay_min, params.msg_delay_max);
+      return delay_draw_.uniform(params.msg_delay_min, params.msg_delay_max, from, to, k);
     case DelayMode::kMin: return params.msg_delay_min;
     case DelayMode::kMax: return params.msg_delay_max;
-    case DelayMode::kEdgeUniform:
-      return edge_stream(from, to).uniform(params.msg_delay_min, params.msg_delay_max);
   }
   return params.msg_delay_max;
-}
-
-Rng& Transport::edge_stream(NodeId from, NodeId to) {
-  const std::uint64_t key = dir_key(from, to);
-  const auto it = edge_rng_.find(key);
-  if (it != edge_rng_.end()) return it->second;
-  // The substream seed is a pure function of (transport seed, directed edge),
-  // so the sequence a sender draws over an edge is identical no matter which
-  // shard — or how many shards — host the run.
-  std::uint64_t sm = seed_ ^ (key + 0x9e3779b97f4a7c15ULL);
-  return edge_rng_.emplace(key, Rng(splitmix64(sm))).first->second;
 }
 
 bool Transport::send(NodeId from, NodeId to, Payload payload) {

@@ -10,6 +10,7 @@
 #include <functional>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "graph/dynamic_graph.h"
 #include "net/arena.h"
@@ -21,15 +22,13 @@
 namespace gcs {
 
 enum class DelayMode {
-  kUniform,      ///< uniform in [msg_delay_min, msg_delay_max], one shared stream
-  kMin,          ///< always msg_delay_min
-  kMax,          ///< always msg_delay_max
-  kEdgeUniform,  ///< uniform, but drawn from a per-directed-edge substream
-                 ///< seeded by (transport seed, edge) — the draw a sender
-                 ///< makes depends only on its own send history over that
-                 ///< edge, never on interleaving with other nodes, which is
-                 ///< what lets the island-parallel runner reproduce serial
-                 ///< delays exactly (see src/runner/island_runner.h)
+  /// Uniform in [msg_delay_min, msg_delay_max], keyed by (from, to, from's
+  /// send count): independent of other nodes' sends, so island shards
+  /// reproduce serial delays exactly (see src/runner/island_runner.h).
+  kUniform,
+  kMin,  ///< always msg_delay_min
+  kMax,  ///< always msg_delay_max
+  kEdgeUniform = kUniform,  ///< alias the performance ledger still names
 };
 
 /// Receiver of delivered messages. An interface rather than a std::function
@@ -114,8 +113,7 @@ class Transport {
   /// degree ONE payload is moved into the arena and every scheduled delivery
   /// references it (reclaimed when the last one fires or drops) — zero
   /// per-edge payload construction. Behaviorally identical — including the
-  /// RNG delay-draw order — to calling send_via for each entry of `views`
-  /// in order.
+  /// delay draws — to calling send_via for each entry of `views` in order.
   void send_fanout(NodeId from, const std::vector<NeighborView>& views,
                    Payload payload);
 
@@ -132,7 +130,6 @@ class Transport {
 
  private:
   [[nodiscard]] Duration pick_delay(NodeId from, NodeId to, const EdgeParams& params);
-  [[nodiscard]] Rng& edge_stream(NodeId from, NodeId to);
   [[nodiscard]] bool is_cross(NodeId to) const {
     return local_mask_ != nullptr && (*local_mask_)[static_cast<std::size_t>(to)] == 0;
   }
@@ -141,9 +138,8 @@ class Transport {
   DynamicGraph& graph_;
   MessageArena arena_;
   std::uint8_t channel_ = kNoChannel;  ///< registered dispatch channel
-  std::uint64_t seed_;
-  Rng rng_;
-  std::unordered_map<std::uint64_t, Rng> edge_rng_;  ///< kEdgeUniform substreams
+  KeyedDraw delay_draw_;
+  std::vector<std::uint64_t> sends_;  ///< per sender: sends so far, the delay draw's k
   const std::vector<std::uint8_t>* local_mask_ = nullptr;
   CrossCapture cross_capture_;
   DeliverySink* sink_ = nullptr;

@@ -330,18 +330,14 @@ void ChaosScheduler::poll(Time now) {
   }
 }
 
-LinkChaos::LinkChaos(int n, NodeId self, Roots& roots) : n_(n), self_(self) {
+LinkChaos::LinkChaos(int n, NodeId self, std::uint64_t seed)
+    : n_(n),
+      self_(self),
+      drop_draw_(seed, Domain::kChaosDrop),
+      corrupt_draw_(seed, Domain::kChaosCorrupt) {
   require(n >= 1 && self >= 0 && self < n, "LinkChaos: bad node");
   faults_ = std::make_unique<std::atomic<std::uint64_t>[]>(static_cast<std::size_t>(n));
-  chaos_rngs_.reserve(static_cast<std::size_t>(n));
-  corrupt_rngs_.reserve(static_cast<std::size_t>(n));
-  for (NodeId to = 0; to < n; ++to) {
-    const std::uint64_t stream =
-        static_cast<std::uint64_t>(self) * static_cast<std::uint64_t>(n) +
-        static_cast<std::uint64_t>(to);
-    chaos_rngs_.push_back(roots.chaos.fork(stream));
-    corrupt_rngs_.push_back(roots.corrupt.fork(stream));
-  }
+  sends_.assign(static_cast<std::size_t>(n), 0);
 }
 
 void LinkChaos::set(NodeId to, const LinkFault& f) {
@@ -352,14 +348,14 @@ void LinkChaos::set(NodeId to, const LinkFault& f) {
 
 ChaosDecision LinkChaos::decide(NodeId to) {
   const auto i = static_cast<std::size_t>(to);
-  const double roll = chaos_rngs_[i].uniform(0.0, 1.0);
   ChaosDecision d;
-  d.corrupt_draw = corrupt_rngs_[i].next();
+  d.send = sends_[i]++;
   const LinkFault f = unpack_link_fault(faults_[i].load(std::memory_order_relaxed));
-  d.drop = roll < f.drop;
-  d.corrupt = f.corrupt > 0.0f &&
-              static_cast<double>(d.corrupt_draw >> 11) * 0x1.0p-53 <
-                  static_cast<double>(f.corrupt);
+  d.drop = f.drop > 0.0f && drop_draw_.uniform01(self_, to, d.send) < f.drop;
+  if (f.corrupt > 0.0f) {
+    d.corrupt_draw = corrupt_draw_.bits(self_, to, d.send);
+    d.corrupt = unit_double(d.corrupt_draw) < static_cast<double>(f.corrupt);
+  }
   d.extra_delay = f.extra_delay;
   return d;
 }

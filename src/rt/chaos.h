@@ -91,6 +91,7 @@ struct ChaosDecision {
   bool corrupt = false;           ///< flip one bit of the encoded frame
   float extra_delay = 0.0f;       ///< latency-storm hold, model seconds
   std::uint64_t corrupt_draw = 0; ///< the corruption u64; picks the bit
+  std::uint64_t send = 0;         ///< the link's send count: the draws' k
 
   /// Flip the bit corrupt_draw picks, anywhere past the 2-byte length
   /// prefix: corrupting the prefix would break stream framing, which is a
@@ -105,33 +106,18 @@ struct ChaosDecision {
 
 /// Outbound chaos for one sender, shared by every runtime transport: the
 /// per-destination LinkFault slots (lock-free atomics the ChaosScheduler
-/// writes from any thread), the per-destination chaos and corruption RNG
-/// streams, and the latency-storm stash of encoded frames.
+/// writes from any thread), the per-destination send counters, and the
+/// latency-storm stash of encoded frames.
 ///
-/// Every decide() draws exactly one chaos uniform and one corruption u64,
-/// whether or not a fault is armed, so each decision sequence is a pure
-/// function of the per-link send count — which is what makes lockstep chaos
-/// runs bit-reproducible. The corruption stream is separate so arming a
-/// corrupt fault never shifts the drop rolls; its single draw decides both
-/// whether to flip (top 53 bits against the armed probability) and which
-/// bit (the low bits, once the frame length is known).
+/// Every decide() advances its link's send count k, armed or not, and makes
+/// only the keyed draws on (self, to, k) an armed fault reads. A verdict is a
+/// pure function of (seed, self, to, k), so lockstep chaos runs replay bit
+/// for bit and the pipe, UDP and TCP backends decide alike. The corruption
+/// draw decides both whether to flip (top 53 bits against the armed
+/// probability) and which bit (the low bits, once the frame length is known).
 class LinkChaos {
  public:
-  /// The chaos and corruption stream roots, both salted from one seed.
-  struct Roots {
-    explicit Roots(std::uint64_t seed)
-        : chaos(seed ^ 0xc4a05ULL), corrupt(seed ^ 0xf11bULL) {}
-    Rng chaos;
-    Rng corrupt;
-  };
-
-  /// Forks stream self * n + to from each root, for to = 0 .. n-1 in order.
-  /// fork() advances its root, so the derivation depends on what the roots
-  /// forked before: PipeHub passes one shared pair to every sender in node
-  /// order (all n^2 links forked in link order from one root), each socket
-  /// transport passes a fresh pair. The two agree only for sender 0.
-  LinkChaos(int n, NodeId self, Roots& roots);
-  LinkChaos(int n, NodeId self, Roots&& roots) : LinkChaos(n, self, roots) {}
+  LinkChaos(int n, NodeId self, std::uint64_t seed);
 
   /// Arm the fault slot of link self -> to. Callable from any thread.
   void set(NodeId to, const LinkFault& f);
@@ -175,8 +161,9 @@ class LinkChaos {
 
   int n_;
   NodeId self_;
-  std::vector<Rng> chaos_rngs_;    ///< per destination
-  std::vector<Rng> corrupt_rngs_;  ///< per destination
+  KeyedDraw drop_draw_;
+  KeyedDraw corrupt_draw_;
+  std::vector<std::uint64_t> sends_;  ///< per destination: sends so far
   std::unique_ptr<std::atomic<std::uint64_t>[]> faults_;  ///< packed LinkFault
   std::priority_queue<Stashed, std::vector<Stashed>, Later> stash_;
   std::uint64_t stash_seq_ = 0;

@@ -15,21 +15,22 @@ namespace gcs {
 
 PipeHub::PipeHub(int n, TimeSource& clock, const FaultSpec& faults,
                  std::size_t ring_capacity)
-    : n_(n), clock_(clock), faults_(faults) {
+    : n_(n),
+      clock_(clock),
+      faults_(faults),
+      drop_draw_(faults.seed, Domain::kPipeDrop),
+      dup_draw_(faults.seed, Domain::kPipeDup),
+      reorder_draw_(faults.seed, Domain::kPipeReorder),
+      hold_draw_(faults.seed, Domain::kPipeHold),
+      jitter_draw_(faults.seed, Domain::kPipeJitter) {
   require(n >= 1, "PipeHub: need n >= 1");
   const std::size_t nn = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
   rings_.reserve(nn);
-  rngs_.reserve(nn);
-  Rng root(faults.seed ^ 0x9d1eULL);
   for (std::size_t i = 0; i < nn; ++i) {
     rings_.push_back(std::make_unique<SpscRing<WireMsg>>(ring_capacity));
-    rngs_.push_back(root.fork(i));
   }
-  // One shared pair of chaos roots, senders in node order: every link's
-  // streams are forked in link order, as rngs_ are.
-  LinkChaos::Roots chaos_roots(faults.seed);
   chaos_.reserve(static_cast<std::size_t>(n));
-  for (NodeId from = 0; from < n; ++from) chaos_.emplace_back(n, from, chaos_roots);
+  for (NodeId from = 0; from < n; ++from) chaos_.emplace_back(n, from, faults.seed);
   ring_full_link_ = std::make_unique<std::atomic<std::uint64_t>[]>(nn);
   inboxes_.resize(static_cast<std::size_t>(n));
 }
@@ -55,18 +56,13 @@ bool PipeHub::push_one(const WireMsg& m) {
 bool PipeHub::send(const WireMsg& m) {
   require(m.from >= 0 && m.from < n_ && m.to >= 0 && m.to < n_ && m.from != m.to,
           "PipeHub: bad addressing");
-  Rng& rng = edge_rng(m.from, m.to);
-  // Always draw the full decision tuple: the per-edge RNG stream is then a
-  // pure function of the send count, so a fixed seed reproduces the same
-  // fault pattern whatever the thread interleaving or fault configuration.
-  const double roll_drop = rng.uniform(0.0, 1.0);
-  const double roll_dup = rng.uniform(0.0, 1.0);
-  const double roll_reorder = rng.uniform(0.0, 1.0);
-  const double draw_delay = rng.uniform(0.0, 1.0);
-  const double draw_jitter = rng.uniform(0.0, 1.0);
-  // The chaos verdict keeps the same discipline (see LinkChaos).
+  // The FaultSpec rolls are keyed by the chaos verdict's (from, to, k), and
+  // each is drawn only when its fault is configured.
   const ChaosDecision chaos = chaos_[static_cast<std::size_t>(m.from)].decide(m.to);
-  if (roll_drop < faults_.drop) {
+  const auto roll = [&](const KeyedDraw& draw) {
+    return draw.uniform01(m.from, m.to, chaos.send);
+  };
+  if (faults_.drop > 0.0 && roll(drop_draw_) < faults_.drop) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return true;  // swallowed in flight; the sender cannot tell
   }
@@ -92,14 +88,15 @@ bool PipeHub::send(const WireMsg& m) {
     // through, delivering the decoded bytes is the honest behavior.
   }
   WireMsg out = m;
-  Duration hold = draw_jitter * faults_.jitter + chaos.extra_delay;
-  if (roll_reorder < faults_.reorder) {
-    hold += draw_delay * faults_.delay;
+  Duration hold = chaos.extra_delay;
+  if (faults_.jitter > 0.0) hold += roll(jitter_draw_) * faults_.jitter;
+  if (faults_.reorder > 0.0 && roll(reorder_draw_) < faults_.reorder) {
+    hold += roll(hold_draw_) * faults_.delay;
     delayed_.fetch_add(1, std::memory_order_relaxed);
   }
   out.deliver_at = hold > 0.0 ? clock_.now() + hold : 0.0;
   const bool ok = push_one(out);
-  if (roll_dup < faults_.dup) {
+  if (faults_.dup > 0.0 && roll(dup_draw_) < faults_.dup) {
     duplicated_.fetch_add(1, std::memory_order_relaxed);
     push_one(out);
   }
@@ -134,7 +131,7 @@ UdpTransport::UdpTransport(int n, NodeId self, std::uint16_t base_port,
       self_(self),
       base_port_(base_port),
       clock_(clock),
-      chaos_(n, self, LinkChaos::Roots(chaos_seed)) {
+      chaos_(n, self, chaos_seed) {
   require(n >= 1 && self >= 0 && self < n, "UdpTransport: bad node");
   fd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
   require(fd_ >= 0, "UdpTransport: socket() failed");

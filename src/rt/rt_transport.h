@@ -5,9 +5,9 @@
 //
 //  * PipeHub — in-process: one lock-free SPSC ring per directed node pair
 //    (sender thread is the sole producer, receiver thread the sole
-//    consumer). Faults are injected on the SENDER side from a per-directed-
-//    edge RNG, so a fixed seed yields the same drop/duplicate/delay decision
-//    sequence regardless of thread interleaving; delayed copies carry a
+//    consumer). Faults are injected on the SENDER side, keyed by (from, to,
+//    the link's send count), so a fixed seed yields the same fault decisions
+//    regardless of thread interleaving; delayed copies carry a
 //    deliver_at stamp and are physically held back in a receiver-side
 //    pending heap until the clock passes it (which is what turns a "reorder"
 //    decision into an actual reordering relative to later sends).
@@ -22,8 +22,8 @@
 //    connections with a reconnect state machine.
 //
 // Every backend injects chaos (drop, latency storm, corrupt) through one
-// LinkChaos per sender (rt/chaos.h), which owns the per-link fault slots,
-// the chaos and corruption RNG streams and the storm stash. Pipe frames
+// LinkChaos per sender (rt/chaos.h), which owns the per-link fault slots
+// and send counters and the storm stash. Pipe frames
 // never leave the process, so the pipe applies a storm as extra deliver_at
 // hold and a corruption by encoding, flipping and re-decoding; the socket
 // backends flip the encoded frame and hold it in the stash. Every
@@ -134,14 +134,17 @@ class PipeHub final : public RtTransport {
   SpscRing<WireMsg>& ring(NodeId from, NodeId to) {
     return *rings_[link_index(from, to)];
   }
-  Rng& edge_rng(NodeId from, NodeId to) { return rngs_[link_index(from, to)]; }
   bool push_one(const WireMsg& m);
 
   int n_;
   TimeSource& clock_;
   FaultSpec faults_;
   std::vector<std::unique_ptr<SpscRing<WireMsg>>> rings_;  ///< [from * n + to]
-  std::vector<Rng> rngs_;        ///< sender-owned, per directed edge (FaultSpec)
+  KeyedDraw drop_draw_;          ///< FaultSpec rolls, keyed like chaos_
+  KeyedDraw dup_draw_;
+  KeyedDraw reorder_draw_;
+  KeyedDraw hold_draw_;
+  KeyedDraw jitter_draw_;
   std::vector<LinkChaos> chaos_; ///< sender-owned, per node
   std::unique_ptr<std::atomic<std::uint64_t>[]> ring_full_link_; ///< per directed edge
   std::vector<Inbox> inboxes_;   ///< receiver-owned, per node
@@ -160,10 +163,10 @@ class PipeHub final : public RtTransport {
 /// `clock` is only needed for chaos latency storms (stashed frames are
 /// released against it); a clock-less instance REJECTS arming a latency
 /// fault (set_link_fault throws) rather than silently degrading the storm
-/// to zero delay. `chaos_seed` seeds a fresh pair of LinkChaos roots, so
-/// every daemon reproduces its own outbound decisions from (chaos_seed,
-/// self, to, send count) alone; for self != 0 these differ from the
-/// decisions PipeHub draws for the same link (see LinkChaos).
+/// to zero delay. `chaos_seed` keys the LinkChaos draws, so every daemon
+/// reproduces its own outbound decisions from (chaos_seed, self, to, send
+/// count) alone — the same decisions PipeHub makes for the same link when
+/// its FaultSpec seed equals chaos_seed (see LinkChaos).
 class UdpTransport final : public RtTransport {
  public:
   UdpTransport(int n, NodeId self, std::uint16_t base_port,

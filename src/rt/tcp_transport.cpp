@@ -41,7 +41,8 @@ TcpTransport::TcpTransport(int n, NodeId self, std::uint16_t base_port,
       base_port_(base_port),
       clock_(clock),
       config_(config),
-      chaos_(n, self, LinkChaos::Roots(chaos_seed)) {
+      chaos_(n, self, chaos_seed),
+      backoff_draw_(chaos_seed, Domain::kTcpBackoff) {
   require(n >= 1 && self >= 0 && self < n, "TcpTransport: bad node");
   require(config_.backoff_base > 0.0 && config_.backoff_max >= config_.backoff_base,
           "TcpTransport: bad backoff configuration");
@@ -63,16 +64,6 @@ TcpTransport::TcpTransport(int n, NodeId self, std::uint16_t base_port,
                        std::to_string(base_port + self) + ") failed: " + err);
   }
   out_.resize(static_cast<std::size_t>(n));
-  // Backoff jitter gets the same per-link derivation as the chaos streams,
-  // from its own fresh root: every node reproduces its own reconnect
-  // schedule from (chaos_seed, self, to, failure count) alone.
-  Rng backoff_root(chaos_seed ^ 0xb0ffULL);
-  backoff_rngs_.reserve(static_cast<std::size_t>(n));
-  for (NodeId to = 0; to < n; ++to) {
-    backoff_rngs_.push_back(backoff_root.fork(
-        static_cast<std::uint64_t>(self) * static_cast<std::uint64_t>(n) +
-        static_cast<std::uint64_t>(to)));
-  }
   reset_requests_ = std::make_unique<std::atomic<bool>[]>(
       static_cast<std::size_t>(n));
 }
@@ -131,16 +122,17 @@ void TcpTransport::fail_connection(OutConn& c, Time now, bool hard_reset) {
   c.wbuf_bytes = 0;
   c.state = ConnState::kBackoff;
   // Exponential backoff with deterministic seeded jitter: attempt k waits
-  // min(base * 2^k, max) * (1 + jitter * u), u from the per-peer stream.
+  // min(base * 2^k, max) * (1 + jitter * u), u keyed by (self, peer, the
+  // peer's backoff count): every node replays its own reconnect schedule.
   constexpr int kAttemptCap = 16;  // backoff_max dominates long before this
   const int exponent = std::min(c.attempt, kAttemptCap);
   c.attempt = std::min(c.attempt + 1, kAttemptCap);
   const Duration base =
       std::min(config_.backoff_base * std::ldexp(1.0, exponent),
                config_.backoff_max);
-  // NOTE: c is always out_[peer]; index recovered to pick the jitter stream.
-  const std::size_t peer = static_cast<std::size_t>(&c - out_.data());
-  const double u = backoff_rngs_[peer].uniform(0.0, 1.0);
+  // NOTE: c is always out_[peer]; index recovered to key the jitter draw.
+  const auto peer = static_cast<std::uint32_t>(&c - out_.data());
+  const double u = backoff_draw_.uniform01(self_, peer, c.backoffs++);
   c.last_backoff = base * (1.0 + config_.jitter * u);
   c.retry_at = now + c.last_backoff;
 }

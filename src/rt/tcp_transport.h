@@ -15,9 +15,9 @@
 //      │                  v                        v
 //      └────deadline── Backoff <──────────────────┘
 //
-// Backoff grows exponentially (base · 2^attempt, capped) with jitter drawn
-// from a per-peer seeded RNG — deterministic, so lockstep runs stay
-// bit-reproducible; a successful establishment resets the attempt count.
+// Backoff grows exponentially (base · 2^attempt, capped) with jitter from a
+// keyed draw on (self, peer, backoff count) — deterministic, so lockstep
+// runs stay bit-reproducible; a successful establishment resets the attempt count.
 // While Connecting, frames are buffered (bounded) and flushed on
 // establishment; while Backoff, send() returns false — the existing
 // "send() == false means drop" contract, so a down connection degrades to
@@ -103,6 +103,7 @@ class TcpTransport final : public RtTransport {
     ConnState state = ConnState::kClosed;
     Time retry_at = 0.0;        ///< Backoff: model time of the next dial
     int attempt = 0;            ///< consecutive failures (backoff exponent)
+    std::uint64_t backoffs = 0; ///< backoffs armed so far: the jitter draw's k
     Duration last_backoff = 0.0;
     /// Unwritten frames, whole-frame granularity (head may be partially
     /// written — head_written bytes of wbuf.front() are already out).
@@ -136,7 +137,7 @@ class TcpTransport final : public RtTransport {
   std::vector<InConn> in_;         ///< accepted connections, owner-thread only
   std::deque<WireMsg> pending_;    ///< decoded frames awaiting poll()
   LinkChaos chaos_;                ///< outbound links, owner-thread only
-  std::vector<Rng> backoff_rngs_;  ///< per destination, jitter stream
+  KeyedDraw backoff_draw_;         ///< reconnect jitter
   std::unique_ptr<std::atomic<bool>[]> reset_requests_;  ///< per destination
   std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;

@@ -30,12 +30,8 @@ IslandExecutionPlan plan_islands(const ScenarioSpec& spec, int requested) {
     return serial("service mode (engine.local_node) owns the transport");
   if (!spec.engine.local_mask.empty())
     return serial("engine.local_mask is reserved for the runner itself");
-  if (spec.delays == DelayMode::kUniform)
-    return serial("delays=uniform draws all edges from one shared stream");
   if (spec.edge_params.msg_delay_min <= 0.0)
     return serial("msg_delay_min == 0 leaves no conservative window width");
-  if (spec.estimates.kind == "uniform")
-    return serial("estimates=uniform draws all nodes from one oracle stream");
   if (spec.gskew.kind == "oracle")
     return serial("gskew=oracle reads every node's live clock");
   if (spec.reference_node != kNoNode)
@@ -50,9 +46,10 @@ IslandExecutionPlan plan_islands(const ScenarioSpec& spec, int requested) {
       partition_islands(topo.n, topo.edges, k, spec.island_budget);
   if (!partition.feasible) return serial("partition infeasible: " + partition.reason);
 
-  // Oracle sources that read a *neighbor's* live clock (zero, adversarial)
-  // only work when every neighbor is co-resident: mirror clocks are dead.
-  if ((spec.estimates.kind == "zero" || spec.estimates.kind == "adversarial") &&
+  // Oracle sources read a *neighbor's* live clock, so they only work when
+  // every neighbor is co-resident: mirror clocks are dead.
+  const std::string& est = spec.estimates.kind;
+  if ((est == "zero" || est == "uniform" || est == "adversarial") &&
       !partition.cut.empty()) {
     return serial("estimates=" + spec.estimates.kind +
                   " reads neighbors' live clocks across a non-empty cut");

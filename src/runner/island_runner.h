@@ -23,8 +23,8 @@
 // full-key ties can only originate from one sender shard in its serial send
 // order — so the injected event sequence, and with it every fired-event
 // trajectory, is invariant in the worker count. Scenarios whose spec is not
-// island-decomposable (shared-stream delay or estimate RNG, oracle gskew,
-// cut over budget, ...: the fallback matrix lives in plan_islands and
+// island-decomposable (oracle estimates across a cut, oracle gskew, cut over
+// budget, ...: the fallback matrix lives in plan_islands and
 // docs/ARCHITECTURE.md) run the ordinary serial engine instead.
 #pragma once
 
@@ -48,16 +48,14 @@ struct IslandExecutionPlan {
 /// Decide how `spec` executes with `requested` islands (the spec.islands
 /// encoding: 0 = off, -1 = auto from the hardware, N >= 1 = exactly N).
 /// Serial fallback triggers on, in order: islands off; auto on a single
-/// hardware thread; service-mode local_node; delays=uniform (one shared
-/// delay stream is not island-decomposable); estimates=uniform (same, for
-/// the oracle error stream); zero msg_delay_min (no conservative window);
-/// gskew=oracle (reads every node's live clock); a reference node;
-/// coalesce=false; an infeasible partition (cut over budget, < 2 islands);
-/// estimates zero/adversarial with a non-empty cut (their scans read
-/// neighbors' live clocks, which are dead mirrors across islands). The
-/// partition is computed over the t=0 topology — churn only toggles initial
-/// edges (ChurnAdversary candidates), so the cut bounds every edge that can
-/// ever exist.
+/// hardware thread; service-mode local_node; zero msg_delay_min (no
+/// conservative window); gskew=oracle (reads every node's live clock); a
+/// reference node; coalesce=false; an infeasible partition (cut over budget,
+/// < 2 islands); oracle estimates (zero, uniform, adversarial) with a
+/// non-empty cut (their scans read neighbors' live clocks, which are dead
+/// mirrors across islands). Delay and oracle-error draws are keyed, so they
+/// need no rule. The partition is computed over the t=0 topology — churn
+/// only toggles initial edges, so the cut bounds every edge that can exist.
 IslandExecutionPlan plan_islands(const ScenarioSpec& spec, int requested);
 
 /// plan_islands with requested = spec.islands.

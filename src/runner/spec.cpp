@@ -86,10 +86,9 @@ std::string detection_str(DetectionDelayMode mode) {
 }
 
 DelayMode parse_delays(const std::string& value) {
-  if (value == "uniform") return DelayMode::kUniform;
+  if (value == "uniform" || value == "edge-uniform") return DelayMode::kUniform;
   if (value == "min") return DelayMode::kMin;
   if (value == "max") return DelayMode::kMax;
-  if (value == "edge-uniform") return DelayMode::kEdgeUniform;
   throw std::runtime_error(
       "spec: delays: expected uniform|min|max|edge-uniform, got '" + value + "'");
 }
@@ -99,7 +98,6 @@ std::string delays_str(DelayMode mode) {
     case DelayMode::kUniform: return "uniform";
     case DelayMode::kMin: return "min";
     case DelayMode::kMax: return "max";
-    case DelayMode::kEdgeUniform: return "edge-uniform";
   }
   return "?";
 }
@@ -245,8 +243,8 @@ std::vector<std::pair<std::string, std::string>> ScenarioSpec::to_kv() const {
   kv.emplace_back("detection", detection_str(detection));
   kv.emplace_back("delays", delays_str(delays));
   kv.emplace_back("reference", std::to_string(reference_node));
-  // Island keys are emitted only when set: every spec string minted before
-  // PR 9 (pinned fingerprint rows) stays byte-identical.
+  // Island keys are emitted only when set, so spec strings minted before
+  // the keys existed (pinned fingerprint rows) stay byte-identical.
   if (islands != 0) kv.emplace_back("islands", islands_str(islands));
   if (island_budget >= 0) kv.emplace_back("island_budget", std::to_string(island_budget));
   return kv;
@@ -292,7 +290,7 @@ std::string ScenarioSpec::key_help() {
      << "  gtilde=<value|auto>, insertion=staged|dynamic|immediate|decay\n"
      << "  eps, tau, delay_max, delay_min\n"
      << "  tick_period, beacon_period, beacons=<bool>, coalesce=<bool>\n"
-     << "  detection=zero|uniform|max, delays=uniform|min|max|edge-uniform\n"
+     << "  detection=zero|uniform|max, delays=uniform|min|max (edge-uniform = uniform)\n"
      << "  reference=<node|-1>\n"
      << "  islands=off|auto|N, island_budget=<max cross edges|-1 for n>\n";
   return os.str();

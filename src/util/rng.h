@@ -1,4 +1,6 @@
-// Deterministic, seedable PRNG (xoshiro256**) with convenience distributions.
+// Deterministic, seedable random numbers: the xoshiro256** stream (Rng) for
+// streams consumed in full, and the counter-based KeyedDraw for per-event
+// draws that must not depend on execution order.
 //
 // We implement our own generator instead of std::mt19937_64 so that all
 // experiment outputs are reproducible across standard-library versions (the
@@ -13,30 +15,69 @@
 
 namespace gcs {
 
-/// splitmix64 — used for seeding xoshiro and as a standalone hash/stream.
-inline std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+/// splitmix64's increment (2^64 / golden ratio) and output finalizer, a
+/// bijective 64-bit avalanche mix; its i-th output from state s is
+/// mix64(s + i * kGolden).
+constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+constexpr std::uint64_t mix64(std::uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
 }
 
+/// The top 53 bits of `bits` as a uniform double in [0, 1).
+constexpr double unit_double(std::uint64_t bits) {
+  return static_cast<double>(bits >> 11) * 0x1.0p-53;
+}
+
+/// Every stream of keyed draws, named in one place, with its key (a, b, k);
+/// k is a dense counter the consumer keeps per key.
+enum class Domain : std::uint64_t {
+  kDelay = 1,    ///< Transport message delay: (from, to, from's send count)
+  kOracleError,  ///< oracle estimate error: (u, v, u's draw count)
+  /// PipeHub fault rolls: (from, to, the link's send count)
+  kPipeDrop, kPipeDup, kPipeReorder, kPipeHold, kPipeJitter,
+  /// LinkChaos drop roll and corruption draw: (self, to, the link's send count)
+  kChaosDrop, kChaosCorrupt,
+  kTcpBackoff,   ///< reconnect jitter: (self, peer, the peer's backoff count)
+};
+
+/// Counter-based random draws in the style of Salmon et al., "Parallel
+/// random numbers: as easy as 1, 2, 3" (SC'11): a draw is a pure function of
+/// (seed, domain, a, b, k), so it cannot depend on the order in which
+/// threads, island shards or transport backends draw. (seed, domain) is
+/// mixed once, at construction; a draw costs two finalizer rounds, one over
+/// (a, b) and one stepping that key's splitmix64 sequence to its k-th output.
+class KeyedDraw {
+ public:
+  KeyedDraw(std::uint64_t seed, Domain domain)
+      : root_(mix64(mix64(seed) + kGolden * static_cast<std::uint64_t>(domain))) {}
+
+  [[nodiscard]] std::uint64_t bits(std::uint32_t a, std::uint32_t b, std::uint64_t k) const {
+    const std::uint64_t key = mix64(root_ ^ ((static_cast<std::uint64_t>(a) << 32) | b));
+    return mix64(key + kGolden * (k + 1));
+  }
+
+  [[nodiscard]] double uniform01(std::uint32_t a, std::uint32_t b, std::uint64_t k) const {
+    return unit_double(bits(a, b, k));
+  }
+
+  /// Uniform double in [lo, hi). Requires lo <= hi.
+  [[nodiscard]] double uniform(double lo, double hi, std::uint32_t a, std::uint32_t b,
+                               std::uint64_t k) const {
+    return lo + (hi - lo) * uniform01(a, b, k);
+  }
+
+ private:
+  std::uint64_t root_;
+};
+
 /// xoshiro256** 1.0 — public-domain algorithm by Blackman & Vigna.
 class Rng {
  public:
-  using result_type = std::uint64_t;
-
-  explicit Rng(std::uint64_t seed = 0x5eed5eed5eedULL) { reseed(seed); }
-
-  void reseed(std::uint64_t seed) {
-    std::uint64_t sm = seed;
-    for (auto& word : s_) word = splitmix64(sm);
+  explicit Rng(std::uint64_t seed = 0x5eed5eed5eedULL) {
+    for (auto& word : s_) word = mix64(seed += kGolden);  // splitmix64 seeding
   }
-
-  static constexpr result_type min() { return 0; }
-  static constexpr result_type max() { return ~0ULL; }
-
-  result_type operator()() { return next(); }
 
   std::uint64_t next() {
     const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
@@ -51,9 +92,7 @@ class Rng {
   }
 
   /// Uniform double in [0, 1).
-  double uniform01() {
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-  }
+  double uniform01() { return unit_double(next()); }
 
   /// Uniform double in [lo, hi). Requires lo <= hi.
   double uniform(double lo, double hi) { return lo + (hi - lo) * uniform01(); }
@@ -107,10 +146,7 @@ class Rng {
 
   /// Derive an independent child generator (for per-node streams).
   [[nodiscard]] Rng fork(std::uint64_t stream) {
-    std::uint64_t sm = next() ^ (0x9e3779b97f4a7c15ULL * (stream + 1));
-    Rng child(0);
-    for (auto& word : child.s_) word = splitmix64(sm);
-    return child;
+    return Rng(next() ^ (kGolden * (stream + 1)));
   }
 
  private:

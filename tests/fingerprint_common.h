@@ -300,16 +300,17 @@ inline std::vector<Case> catalog() {
     sim("ring-churn-beacon", s, true);
   }
 
-  // Island-decomposable family: edge-uniform delays + beacon estimates —
-  // the spec shape plan_islands accepts. Pinned serial here like every
-  // other row; test_fingerprint's island-invariance suite re-runs each at
-  // 1/2/8 island workers and requires the exact same hash, which is what
-  // makes these rows the determinism gate for the island engine.
+  // Island-decomposable family: beacon estimates on graphs with a cheap
+  // cut. (The names keep their old "edgeuniform" suffix: that per-edge
+  // delay mode is what the default delays now are.) Pinned serial here like
+  // every other row; test_fingerprint's island-invariance suite re-runs
+  // every row at 1/2/8 island workers and requires the exact same hash,
+  // which is what makes these rows the determinism gate for the island
+  // engine.
   {
     ScenarioSpec s = sim_base("fp-isl-clusters", 32, 123);
     s.topology = ComponentSpec::parse("clusters:k=4,s=8");
     s.estimates = ComponentSpec("beacon");
-    s.delays = DelayMode::kEdgeUniform;
     sim("clusters-beacon-edgeuniform", s, true);
   }
   {
@@ -317,14 +318,12 @@ inline std::vector<Case> catalog() {
     s.topology = ComponentSpec::parse("grid:rows=4,cols=8");
     s.drift = ComponentSpec::parse("walk:period=5");
     s.estimates = ComponentSpec("beacon");
-    s.delays = DelayMode::kEdgeUniform;
     sim("grid-walk-beacon-edgeuniform", s, true);
   }
   {
     ScenarioSpec s = sim_base("fp-isl-gskew", 24, 125);
     s.topology = ComponentSpec::parse("clusters:k=3,s=8,bridges=2");
     s.estimates = ComponentSpec("beacon");
-    s.delays = DelayMode::kEdgeUniform;
     s.gskew = ComponentSpec("distributed");
     sim("clusters-beacon-gskew-distributed-edgeuniform", s, true);
   }
@@ -333,14 +332,12 @@ inline std::vector<Case> catalog() {
     s.topology = ComponentSpec("line");
     s.algo = ComponentSpec("max-jump");
     s.estimates = ComponentSpec("beacon");
-    s.delays = DelayMode::kEdgeUniform;
     sim("line-maxjump-beacon-edgeuniform", s, true);
   }
   {
     ScenarioSpec s = sim_base("fp-isl-churn", 32, 127);
     s.topology = ComponentSpec::parse("clusters:k=4,s=8");
     s.estimates = ComponentSpec("beacon");
-    s.delays = DelayMode::kEdgeUniform;
     s.adversary = ComponentSpec::parse("churn:rate=0.4,start=5");
     sim("clusters-churn-beacon-edgeuniform", s, true);
   }

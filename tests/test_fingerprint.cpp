@@ -362,9 +362,51 @@ TEST(FingerprintInvariance, IslandWorkerCountDoesNotChangeHashes) {
       if (plan.islands_enabled && plan.workers > 1) ++islanded_runs;
     }
   }
-  EXPECT_GE(islanded_runs, 5u)
+  // The five-row island family alone takes 9 multi-shard runs.
+  EXPECT_GE(islanded_runs, 9u)
       << "too few rows take the real multi-shard path; the island "
          "determinism gate needs real coverage (add islandable rows)";
+}
+
+TEST(FingerprintInvariance, UniformDelaysRunIslanded) {
+  // Delays are keyed draws, so delays=uniform no longer pins a run to the
+  // serial engine: a beacon-estimate grid plans islands and reproduces the
+  // serial hash at every worker count.
+  ScenarioSpec spec = fptable::detail::sim_base("isl-uniform-delays", 64, 128);
+  spec.topology = ComponentSpec::parse("grid:rows=8,cols=8");
+  spec.estimates = ComponentSpec("beacon");
+  ASSERT_EQ(spec.delays, DelayMode::kUniform);
+  const FingerprintResult serial = fingerprint_run(spec, 20.0);
+  for (const int k : {1, 2, 4, 8}) {
+    const IslandExecutionPlan plan = plan_islands(spec, k);
+    if (k > 1) {
+      EXPECT_TRUE(plan.islands_enabled) << k << " workers: " << plan.fallback_reason;
+    }
+    const FingerprintResult isl = fingerprint_run_islands(spec, 20.0, k);
+    EXPECT_EQ(isl.hash, serial.hash) << k << " workers";
+    EXPECT_EQ(isl.events, serial.events) << k << " workers";
+  }
+}
+
+TEST(FingerprintInvariance, UniformOracleEstimatesFallBackAcrossACut) {
+  // The oracle's error draw is keyed, but its estimate still reads the
+  // neighbor's live clock, which is a dead mirror across a cut.
+  ScenarioSpec spec = fptable::detail::sim_base("isl-uniform-estimates", 16, 129);
+  spec.topology = ComponentSpec("line");
+  spec.estimates = ComponentSpec("uniform");
+  const IslandExecutionPlan plan = plan_islands(spec, 2);
+  EXPECT_FALSE(plan.islands_enabled);
+  EXPECT_EQ(plan.fallback_reason,
+            "estimates=uniform reads neighbors' live clocks across a non-empty cut");
+}
+
+TEST(Fingerprint, EdgeUniformDelaysAreUniformDelays) {
+  ScenarioSpec uniform = fptable::kernel_trace_reference_spec();
+  ScenarioSpec edge_uniform = uniform;
+  uniform.set("delays", "uniform");
+  edge_uniform.set("delays", "edge-uniform");
+  EXPECT_EQ(edge_uniform.str(), uniform.str());
+  EXPECT_EQ(fingerprint_run(edge_uniform, 30.0).hash, fingerprint_run(uniform, 30.0).hash);
 }
 
 TEST(FingerprintInvariance, IslandShardsRunTheSerialGtilde) {

@@ -67,14 +67,23 @@ TEST(Theorem56, GlobalSkewRecoversAtFastRate) {
   const double d_bound = estimate_dynamic_diameter(s.engine());
   ASSERT_LT(d_bound, offset / 1.5) << "diameter too large for the measurement";
 
+  // The jolt itself is outside the model: the theorem applies once the new
+  // maximum has flooded to every node (Condition 4.3 holds again), which
+  // takes at most n-1 hops of one beacon period plus the delay bound each.
+  // Measure from then on, so the rate is the theorem's and not the flood's.
+  const Duration flood = (cfg.n - 1) * (cfg.engine.beacon_period +
+                                        cfg.edge_params.msg_delay_max);
+  s.run_until(s.sim().now() + flood);
+  const double g_start = s.engine().true_global_skew();
   const Time t0 = s.sim().now();
   const Duration window = 30.0;
   s.run_until(t0 + window);
   const double g1 = s.engine().true_global_skew();
-  const double measured_rate = (g0 - g1) / window;
+  ASSERT_GT(g1, d_bound + cfg.aopt.iota) << "the window left the theorem's regime";
+  const double measured_rate = (g_start - g1) / window;
   const double guaranteed =
       cfg.aopt.mu * (1.0 - cfg.aopt.rho) - 2.0 * cfg.aopt.rho;
-  EXPECT_GE(measured_rate, guaranteed * 0.9)
+  EXPECT_GE(measured_rate, guaranteed * 0.99)
       << "recovery rate " << measured_rate << " below guarantee " << guaranteed;
 }
 

@@ -658,21 +658,27 @@ TEST(TcpTransportSuite, CorruptedFramesAreRejectedAtIngress) {
 
 // ------------------------------------------------- chaos decision-stream pins
 //
-// Sender 1 of a 4-node cluster sends 256 frames on 1 -> 2 with drop 0.5 and
-// corrupt 0.5 armed. Each send's (dropped, corrupted) outcome is folded into
-// a digest pinned below, so any change to the chaos/corruption stream
-// derivation or the per-send draw order fails here, not only in end-to-end
-// fingerprints. Sender 1 on purpose: the pipe forks all n^2 links in link
-// order from one shared root while each socket transport forks its own n
-// links from a fresh root, and the two derivations coincide only for
-// sender 0. The socket backends also pin the exact bytes put on the wire,
+// A sender of a 4-node cluster sends 256 frames on sender -> 2 with drop 0.5
+// and corrupt 0.5 armed. Each send's (dropped, corrupted) outcome is folded
+// into a digest pinned below, so any change to the keyed chaos draws or to
+// what a send draws fails here, not only in end-to-end fingerprints. The
+// draws are keyed by (seed, sender, destination, send count) alone, so the
+// pipe, UDP and TCP backends must all hit the same pin, for sender 0 and for
+// sender 1. The socket backends also pin the exact bytes put on the wire,
 // which fixes the flipped bit of every corrupted frame.
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr int kPinFrames = 256;
-constexpr std::uint64_t kPipeDecisionPin = 0xdd7e71a453fb1e83ULL;
-constexpr std::uint64_t kSocketDecisionPin = 0xd50526845cdd0705ULL;
-constexpr std::uint64_t kSocketBytesPin = 0xaba20e1e85958c4cULL;
+
+struct ChaosPin {
+  NodeId from;
+  std::uint64_t decisions;  ///< every backend
+  std::uint64_t bytes;      ///< the socket backends' wire bytes
+};
+constexpr ChaosPin kChaosPins[] = {
+    {0, 0x59eafa7d26ec35a8ULL, 0xec9fdef4d787787aULL},
+    {1, 0x8cf4de038c1448deULL, 0x9125aed343774e4fULL},
+};
 
 std::uint64_t fnv_step(std::uint64_t h, std::uint64_t v) {
   return (h ^ v) * 0x100000001b3ULL;
@@ -736,12 +742,12 @@ class RawSink {
 /// backend's chaos counters. Returns the decision digest; `wire_bytes`
 /// receives the total size of the frames that were not dropped.
 template <class Send, class Drops, class Corrupts>
-std::uint64_t pin_decisions(Send send, Drops drops, Corrupts corrupts,
+std::uint64_t pin_decisions(NodeId from, Send send, Drops drops, Corrupts corrupts,
                             std::size_t& wire_bytes) {
   std::uint64_t h = kFnvOffset;
   wire_bytes = 0;
   for (int i = 0; i < kPinFrames; ++i) {
-    const WireMsg m = beacon_msg(1, 2, i);
+    const WireMsg m = beacon_msg(from, 2, i);
     const std::uint64_t d0 = drops();
     const std::uint64_t c0 = corrupts();
     EXPECT_TRUE(send(m));
@@ -757,70 +763,81 @@ std::uint64_t pin_decisions(Send send, Drops drops, Corrupts corrupts,
 
 const LinkFault kPinFault{0.5f, 0.0f, 0.5f};
 
-TEST(PipeHub, ChaosDecisionsArePinnedForSenderOne) {
-  VirtualClock clock;
-  PipeHub hub(4, clock);
-  hub.set_link_fault(1, 2, kPinFault);
-  std::size_t wire_bytes = 0;
-  const std::uint64_t h = pin_decisions(
-      [&](const WireMsg& m) { return hub.send(m); },
-      [&] { return hub.chaos_dropped(); }, [&] { return hub.corrupted(); },
-      wire_bytes);
-  EXPECT_EQ(h, kPipeDecisionPin) << std::hex << "0x" << h;
-  EXPECT_EQ(hub.rejected(), hub.corrupted());
-  EXPECT_NE(kPipeDecisionPin, kSocketDecisionPin)
-      << "pipe and socket stream derivations differ for sender != 0";
+TEST(PipeHub, ChaosDecisionsMatchThePin) {
+  for (const ChaosPin& pin : kChaosPins) {
+    SCOPED_TRACE("sender " + std::to_string(pin.from));
+    VirtualClock clock;
+    PipeHub hub(4, clock);
+    hub.set_link_fault(pin.from, 2, kPinFault);
+    std::size_t wire_bytes = 0;
+    const std::uint64_t h = pin_decisions(
+        pin.from, [&](const WireMsg& m) { return hub.send(m); },
+        [&] { return hub.chaos_dropped(); }, [&] { return hub.corrupted(); },
+        wire_bytes);
+    EXPECT_EQ(h, pin.decisions) << std::hex << "0x" << h;
+    EXPECT_EQ(hub.rejected(), hub.corrupted());
+  }
 }
 
-TEST(UdpTransportSuite, ChaosDecisionsArePinnedForSenderOne) {
-  VirtualClock clock;
-  RawSink sink(SOCK_DGRAM, 24772);
-  ASSERT_TRUE(sink.ok());
-  UdpTransport a(4, 1, 24770, &clock);
-  a.set_link_fault(1, 2, kPinFault);
-  std::size_t wire_bytes = 0;
-  const std::uint64_t h = pin_decisions(
-      [&](const WireMsg& m) {
-        const bool ok = a.send(m);
-        sink.drain();  // loopback datagrams arrive synchronously
-        return ok;
-      },
-      [&] { return a.dropped(); }, [&] { return a.corrupted(); }, wire_bytes);
-  EXPECT_EQ(h, kSocketDecisionPin) << std::hex << "0x" << h;
-  for (int i = 0; i < 2000 && sink.bytes() < wire_bytes; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    sink.drain();
+TEST(UdpTransportSuite, ChaosDecisionsMatchThePin) {
+  for (const ChaosPin& pin : kChaosPins) {
+    SCOPED_TRACE("sender " + std::to_string(pin.from));
+    const auto base = static_cast<std::uint16_t>(24770 + 10 * pin.from);
+    VirtualClock clock;
+    RawSink sink(SOCK_DGRAM, static_cast<std::uint16_t>(base + 2));
+    ASSERT_TRUE(sink.ok());
+    UdpTransport a(4, pin.from, base, &clock);
+    a.set_link_fault(pin.from, 2, kPinFault);
+    std::size_t wire_bytes = 0;
+    const std::uint64_t h = pin_decisions(
+        pin.from,
+        [&](const WireMsg& m) {
+          const bool ok = a.send(m);
+          sink.drain();  // loopback datagrams arrive synchronously
+          return ok;
+        },
+        [&] { return a.dropped(); }, [&] { return a.corrupted(); }, wire_bytes);
+    EXPECT_EQ(h, pin.decisions) << std::hex << "0x" << h;
+    for (int i = 0; i < 2000 && sink.bytes() < wire_bytes; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      sink.drain();
+    }
+    ASSERT_EQ(sink.bytes(), wire_bytes);
+    EXPECT_EQ(sink.digest(), pin.bytes) << std::hex << "0x" << sink.digest();
   }
-  ASSERT_EQ(sink.bytes(), wire_bytes);
-  EXPECT_EQ(sink.digest(), kSocketBytesPin) << std::hex << "0x" << sink.digest();
 }
 
-TEST(TcpTransportSuite, ChaosDecisionsArePinnedForSenderOne) {
-  VirtualClock clock;
-  RawSink sink(SOCK_STREAM, 26042);
-  ASSERT_TRUE(sink.ok());
-  TcpTransport a(4, 1, 26040, clock);
-  a.set_link_fault(1, 2, kPinFault);
-  std::size_t wire_bytes = 0;
-  WireMsg scratch;
-  const std::uint64_t h = pin_decisions(
-      [&](const WireMsg& m) {
-        const bool ok = a.send(m);
-        a.poll(1, scratch);  // progress the handshake, flush the write buffer
-        sink.drain();
-        return ok;
-      },
-      [&] { return a.dropped(); }, [&] { return a.corrupted(); }, wire_bytes);
-  EXPECT_EQ(h, kSocketDecisionPin) << std::hex << "0x" << h;
-  for (int i = 0; i < 2000 && sink.bytes() < wire_bytes; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    a.poll(1, scratch);
-    sink.drain();
+TEST(TcpTransportSuite, ChaosDecisionsMatchThePin) {
+  for (const ChaosPin& pin : kChaosPins) {
+    SCOPED_TRACE("sender " + std::to_string(pin.from));
+    const auto base = static_cast<std::uint16_t>(26060 + 10 * pin.from);
+    VirtualClock clock;
+    RawSink sink(SOCK_STREAM, static_cast<std::uint16_t>(base + 2));
+    ASSERT_TRUE(sink.ok());
+    TcpTransport a(4, pin.from, base, clock);
+    a.set_link_fault(pin.from, 2, kPinFault);
+    std::size_t wire_bytes = 0;
+    WireMsg scratch;
+    const std::uint64_t h = pin_decisions(
+        pin.from,
+        [&](const WireMsg& m) {
+          const bool ok = a.send(m);
+          a.poll(pin.from, scratch);  // progress the handshake, flush the write buffer
+          sink.drain();
+          return ok;
+        },
+        [&] { return a.dropped(); }, [&] { return a.corrupted(); }, wire_bytes);
+    EXPECT_EQ(h, pin.decisions) << std::hex << "0x" << h;
+    for (int i = 0; i < 2000 && sink.bytes() < wire_bytes; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      a.poll(pin.from, scratch);
+      sink.drain();
+    }
+    ASSERT_EQ(sink.bytes(), wire_bytes);
+    EXPECT_EQ(sink.digest(), pin.bytes) << std::hex << "0x" << sink.digest();
+    EXPECT_EQ(a.conn_down(), 0u);
+    EXPECT_EQ(a.backpressure(), 0u);
   }
-  ASSERT_EQ(sink.bytes(), wire_bytes);
-  EXPECT_EQ(sink.digest(), kSocketBytesPin) << std::hex << "0x" << sink.digest();
-  EXPECT_EQ(a.conn_down(), 0u);
-  EXPECT_EQ(a.backpressure(), 0u);
 }
 
 /// Latency-storm schedule shared by the socket backends, on link 0 -> 1:

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "util/common.h"
 #include "util/csv.h"
@@ -95,6 +96,54 @@ TEST(Rng, ForkProducesIndependentStreams) {
   int same = 0;
   for (int i = 0; i < 64; ++i) same += (a.next() == b.next());
   EXPECT_LT(same, 4);
+}
+
+TEST(KeyedDraw, SameKeySameValueWhateverTheCallOrder) {
+  const KeyedDraw forward(42, Domain::kDelay);
+  const KeyedDraw backward(42, Domain::kDelay);
+  std::vector<std::uint64_t> fwd;
+  for (std::uint64_t k = 0; k < 64; ++k) fwd.push_back(forward.bits(3, 7, k));
+  for (std::uint64_t k = 64; k-- > 0;) {
+    EXPECT_EQ(backward.bits(3, 7, k), fwd[static_cast<std::size_t>(k)]) << "k=" << k;
+    // Draws on other keys in between change nothing.
+    (void)backward.bits(7, 3, k);
+  }
+}
+
+TEST(KeyedDraw, EveryKeyFieldChangesTheValue) {
+  const std::uint64_t base = KeyedDraw(42, Domain::kDelay).bits(3, 7, 5);
+  EXPECT_NE(KeyedDraw(43, Domain::kDelay).bits(3, 7, 5), base);
+  EXPECT_NE(KeyedDraw(42, Domain::kOracleError).bits(3, 7, 5), base);
+  EXPECT_NE(KeyedDraw(42, Domain::kDelay).bits(4, 7, 5), base);
+  EXPECT_NE(KeyedDraw(42, Domain::kDelay).bits(3, 8, 5), base);
+  EXPECT_NE(KeyedDraw(42, Domain::kDelay).bits(3, 7, 6), base);
+  EXPECT_NE(KeyedDraw(42, Domain::kDelay).bits(7, 3, 5), base);  // direction
+  // No collisions over a small dense key grid, across two domains.
+  std::set<std::uint64_t> seen;
+  for (const Domain d : {Domain::kChaosDrop, Domain::kChaosCorrupt}) {
+    const KeyedDraw draw(1, d);
+    for (std::uint32_t a = 0; a < 8; ++a) {
+      for (std::uint32_t b = 0; b < 8; ++b) {
+        for (std::uint64_t k = 0; k < 32; ++k) seen.insert(draw.bits(a, b, k));
+      }
+    }
+  }
+  EXPECT_EQ(seen.size(), 2u * 8u * 8u * 32u);
+}
+
+TEST(KeyedDraw, UniformValuesFallInRange) {
+  const KeyedDraw draw(9, Domain::kDelay);
+  RunningStats stats;
+  for (std::uint64_t k = 0; k < 20000; ++k) {
+    const double u = draw.uniform(0.1, 0.5, 2, 3, k);
+    EXPECT_GE(u, 0.1);
+    EXPECT_LT(u, 0.5);
+    const double v = draw.uniform01(3, 2, k);
+    EXPECT_GE(v, 0.0);
+    EXPECT_LT(v, 1.0);
+    stats.add(v);
+  }
+  EXPECT_NEAR(stats.mean(), 0.5, 0.01);
 }
 
 TEST(RunningStats, BasicMoments) {
