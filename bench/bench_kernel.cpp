@@ -190,39 +190,6 @@ void BM_DenseScenarioSimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseScenarioSimulation)->Arg(32)->Arg(64);
 
-/// Instant-coalescing isolation pair: the same line scenario with the
-/// engine's per-(node, instant) evaluation ON (the default) vs the legacy
-/// per-event evaluation. The delta is what coalescing plus dirty-gated
-/// delivery scans buy on this workload; BM_ScenarioSimulation tracks the
-/// default path over time.
-void BM_InstantCoalescedSimulation(benchmark::State& state) {
-  const auto n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    auto spec = kernel_spec(n);
-    spec.engine.coalesce_instants = true;
-    Scenario s(spec);
-    s.start();
-    s.run_until(50.0);
-    benchmark::DoNotOptimize(s.sim().fired_count());
-  }
-  state.SetItemsProcessed(state.iterations() * n * 50);
-}
-BENCHMARK(BM_InstantCoalescedSimulation)->Arg(256);
-
-void BM_InstantCoalescedPerEventSimulation(benchmark::State& state) {
-  const auto n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    auto spec = kernel_spec(n);
-    spec.engine.coalesce_instants = false;  // legacy: scan after every event
-    Scenario s(spec);
-    s.start();
-    s.run_until(50.0);
-    benchmark::DoNotOptimize(s.sim().fired_count());
-  }
-  state.SetItemsProcessed(state.iterations() * n * 50);
-}
-BENCHMARK(BM_InstantCoalescedPerEventSimulation)->Arg(256);
-
 /// Shared-instant stress for the coalesced drain: zero minimum delay with
 /// pinned-minimum draws lands every beacon reception on its send instant,
 /// so each broadcast forms one multi-event instant group.

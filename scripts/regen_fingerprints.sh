@@ -10,11 +10,10 @@
 # mismatch is a regression to investigate instead).
 #
 # The regeneration is cross-checked before it lands: the table is computed
-# serially, on 1/2/8 sweep-runner threads, with the instant-coalescing mode
-# flipped on every row flagged coalesce-invariant, and through the
-# island-parallel engine at 1/2/8 requested workers (serial-fallback specs
-# run serially there by design) — all eight outputs must be byte-identical,
-# or this script fails and touches nothing.
+# serially, on 1/2/8 sweep-runner threads, and through the island-parallel
+# engine at 1/2/8 requested workers (serial-fallback specs run serially
+# there by design) — all seven outputs must be byte-identical, or this
+# script fails and touches nothing.
 #
 # Usage: scripts/regen_fingerprints.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -41,12 +40,11 @@ regen serial.csv
 regen t1.csv GCS_FP_THREADS=1
 regen t2.csv GCS_FP_THREADS=2
 regen t8.csv GCS_FP_THREADS=8
-regen coalesce-off.csv GCS_FP_COALESCE=off
 regen i1.csv GCS_FP_ISLANDS=1
 regen i2.csv GCS_FP_ISLANDS=2
 regen i8.csv GCS_FP_ISLANDS=8
 
-for variant in t1 t2 t8 coalesce-off i1 i2 i8; do
+for variant in t1 t2 t8 i1 i2 i8; do
   if ! cmp -s "$TMP_DIR/serial.csv" "$TMP_DIR/$variant.csv"; then
     echo "FATAL: regeneration is not invariant — serial vs $variant differ:" >&2
     diff "$TMP_DIR/serial.csv" "$TMP_DIR/$variant.csv" >&2 || true
@@ -56,5 +54,5 @@ done
 
 cp "$TMP_DIR/serial.csv" tests/fingerprints/fingerprints.csv
 echo "regenerated tests/fingerprints/fingerprints.csv" \
-     "(byte-identical across serial/1/2/8 threads, coalesce flip, 1/2/8 islands)"
+     "(byte-identical across serial/1/2/8 threads, 1/2/8 islands)"
 echo "now rerun the full suite (ctest -L tier1) and commit the diff"

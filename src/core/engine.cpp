@@ -72,13 +72,11 @@ Engine::Engine(Simulator& sim, DynamicGraph& graph, Transport& transport,
   channel_ = sim_.register_dispatch_channel(this, [](void* self, const SimEvent& ev) {
     static_cast<Engine*>(self)->dispatch(ev);
   });
-  if (config_.coalesce_instants) {
-    // Instant-coalesced evaluation: deferred (dirty-node) trigger scans run
-    // when the kernel closes the current instant group.
-    sim_.register_instant_flush(this, [](void* self) {
-      static_cast<Engine*>(self)->flush_dirty();
-    });
-  }
+  // Instant-coalesced evaluation: deferred (dirty-node) trigger scans run
+  // when the kernel closes the current instant group.
+  sim_.register_instant_flush(this, [](void* self) {
+    static_cast<Engine*>(self)->flush_dirty();
+  });
   const auto validation = params_.validate();
   require(validation.ok(), "Engine: invalid AlgoParams:\n" + validation.str());
   require(config_.tick_period > 0.0 && config_.beacon_period > 0.0,
@@ -499,11 +497,6 @@ void Engine::reevaluate(NodeId u) {
 }
 
 void Engine::mark_dirty(NodeId u) {
-  if (!config_.coalesce_instants) {
-    // Legacy per-event semantics: evaluate right here, inside the event.
-    reevaluate(u);
-    return;
-  }
   NodeState& n = node(u);
   if (n.dirty) return;
   n.dirty = true;
@@ -565,11 +558,7 @@ void Engine::on_delivery(const Delivery& d) {
     node(d.to).algo->on_estimate_dirty(d.from);
     dirty = true;
   }
-  if (!config_.coalesce_instants) {
-    reevaluate(d.to);  // legacy: evaluate after every delivery, changed or not
-  } else if (dirty) {
-    mark_dirty(d.to);
-  }
+  if (dirty) mark_dirty(d.to);
 }
 
 }  // namespace gcs

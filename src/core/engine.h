@@ -10,11 +10,11 @@
 // as events. Trigger threshold crossings that involve other nodes' estimates
 // are handled by guard-banded re-evaluation plus a periodic tick, exactly as
 // the paper's footnote 6 prescribes for implementations. Evaluation is
-// *instant-coalesced* by default (EngineConfig::coalesce_instants): within
-// one simulated instant every delivery/timer effect applies first, and each
-// node whose discrete trigger inputs changed is evaluated exactly once when
-// the kernel closes the instant — the paper's per-instant semantics, one
-// AOPT scan per (node, instant) instead of one per event.
+// *instant-coalesced*: within one simulated instant every delivery/timer
+// effect applies first, and each node whose discrete trigger inputs changed
+// is evaluated exactly once when the kernel closes the instant — the paper's
+// per-instant semantics (the triggers of Defs. 4.5/4.6 are predicates over a
+// node's state at an instant), one AOPT scan per (node, instant).
 #pragma once
 
 #include <cstdint>
@@ -149,17 +149,6 @@ struct EngineConfig {
   Duration tick_period = 0.25;    ///< re-evaluation cadence (real time)
   Duration beacon_period = 0.25;  ///< beacon cadence (real time)
   bool enable_beacons = true;     ///< M flooding + beacon estimates
-  /// Instant-coalesced trigger evaluation (the paper's per-instant
-  /// semantics): within one simulated instant, apply every delivery/timer
-  /// effect first and run Algorithm::reevaluate() exactly once per *dirty*
-  /// node when the kernel closes the instant. A node is dirty when discrete
-  /// trigger input changed (estimate consumed, M/lock transition, edge or
-  /// handshake event, logical target, tick). Deliveries that change nothing
-  /// discrete no longer trigger a scan — continuous drift between discrete
-  /// changes is covered by the tick guard band (paper footnote 6), exactly
-  /// as before. `false` restores the legacy evaluate-after-every-event
-  /// behavior (used by the per-event/per-instant equivalence tests).
-  bool coalesce_instants = true;
   /// Service mode (src/rt): when set, this engine instance *executes* only
   /// the named node — init, timers and trigger evaluation run for it alone,
   /// and every other node exists purely as an addressing/topology mirror
@@ -398,8 +387,11 @@ class Engine final : public DynamicGraph::Listener,
   void set_rate_multiplier(NodeId u, double mult);
   void set_logical_value(NodeId u, ClockValue v);
   void reevaluate(NodeId u);
-  /// Queue `u` for one reevaluate() at the end of the current instant
-  /// (coalesced mode), or reevaluate immediately (legacy mode).
+  /// Queue `u` for one reevaluate() at the end of the current instant. A
+  /// node is dirty when a discrete trigger input changed (estimate consumed,
+  /// M/lock transition, edge or handshake event, logical target, tick);
+  /// continuous drift between discrete changes is covered by the tick guard
+  /// band (paper footnote 6).
   void mark_dirty(NodeId u);
   /// Kernel instant-flush hook body: reevaluate every dirty node, FIFO in
   /// first-dirtied order (deterministic: event order within the instant).

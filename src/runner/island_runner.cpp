@@ -36,14 +36,11 @@ IslandExecutionPlan plan_islands(const ScenarioSpec& spec, int requested) {
     return serial("gskew=oracle reads every node's live clock");
   if (spec.reference_node != kNoNode)
     return serial("reference-node runs are pinned to the serial engine");
-  if (!spec.engine.coalesce_instants)
-    return serial("per-event (coalesce=false) runs are pinned to the serial engine");
 
   // Partition the t=0 topology. ChurnAdversary only toggles initial edges,
   // so this edge set bounds everything that can ever exist at runtime.
   const TopologyResult topo = materialize_topology(spec);
-  IslandPlan partition =
-      partition_islands(topo.n, topo.edges, k, spec.island_budget);
+  IslandPlan partition = partition_islands(topo.n, topo.edges, k);
   if (!partition.feasible) return serial("partition infeasible: " + partition.reason);
 
   // Oracle sources read a *neighbor's* live clock, so they only work when

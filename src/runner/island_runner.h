@@ -50,7 +50,7 @@ struct IslandExecutionPlan {
 /// Serial fallback triggers on, in order: islands off; auto on a single
 /// hardware thread; service-mode local_node; zero msg_delay_min (no
 /// conservative window); gskew=oracle (reads every node's live clock); a
-/// reference node; coalesce=false; an infeasible partition (cut over budget,
+/// reference node; an infeasible partition (cut over the budget of n edges,
 /// < 2 islands); oracle estimates (zero, uniform, adversarial) with a
 /// non-empty cut (their scans read neighbors' live clocks, which are dead
 /// mirrors across islands). Delay and oracle-error draws are keyed, so they

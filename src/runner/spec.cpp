@@ -172,7 +172,6 @@ void ScenarioSpec::set(const std::string& key, const std::string& value) {
   if (key == "tick_period") { engine.tick_period = to_double(key, value); return; }
   if (key == "beacon_period") { engine.beacon_period = to_double(key, value); return; }
   if (key == "beacons") { engine.enable_beacons = to_bool(key, value); return; }
-  if (key == "coalesce") { engine.coalesce_instants = to_bool(key, value); return; }
 
   // Modes.
   if (key == "detection") { detection = parse_detection(value); return; }
@@ -186,7 +185,6 @@ void ScenarioSpec::set(const std::string& key, const std::string& value) {
     islands = v;
     return;
   }
-  if (key == "island_budget") { island_budget = to_int(key, value); return; }
 
   throw std::runtime_error("spec: unknown key '" + key + "'\naccepted keys:\n" +
                            key_help());
@@ -239,14 +237,12 @@ std::vector<std::pair<std::string, std::string>> ScenarioSpec::to_kv() const {
   kv.emplace_back("tick_period", ParamMap::format(engine.tick_period));
   kv.emplace_back("beacon_period", ParamMap::format(engine.beacon_period));
   kv.emplace_back("beacons", engine.enable_beacons ? "true" : "false");
-  kv.emplace_back("coalesce", engine.coalesce_instants ? "true" : "false");
   kv.emplace_back("detection", detection_str(detection));
   kv.emplace_back("delays", delays_str(delays));
   kv.emplace_back("reference", std::to_string(reference_node));
-  // Island keys are emitted only when set, so spec strings minted before
-  // the keys existed (pinned fingerprint rows) stay byte-identical.
+  // The island key is emitted only when set, so spec strings minted before
+  // the key existed (pinned fingerprint rows) stay byte-identical.
   if (islands != 0) kv.emplace_back("islands", islands_str(islands));
-  if (island_budget >= 0) kv.emplace_back("island_budget", std::to_string(island_budget));
   return kv;
 }
 
@@ -289,10 +285,10 @@ std::string ScenarioSpec::key_help() {
      << "  rho, mu, iota, kappa_slack, delta_frac, B, level_cap\n"
      << "  gtilde=<value|auto>, insertion=staged|dynamic|immediate|decay\n"
      << "  eps, tau, delay_max, delay_min\n"
-     << "  tick_period, beacon_period, beacons=<bool>, coalesce=<bool>\n"
+     << "  tick_period, beacon_period, beacons=<bool>\n"
      << "  detection=zero|uniform|max, delays=uniform|min|max (edge-uniform = uniform)\n"
      << "  reference=<node|-1>\n"
-     << "  islands=off|auto|N, island_budget=<max cross edges|-1 for n>\n";
+     << "  islands=off|auto|N\n";
   return os.str();
 }
 

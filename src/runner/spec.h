@@ -78,9 +78,6 @@ struct ScenarioSpec {
   /// are identical either way, this only selects the execution strategy.
   int islands = 0;
 
-  /// Max cross-island edges the partitioner may leave (-1 = default of n).
-  int island_budget = -1;
-
   /// Derive G̃ from the built topology via suggest_gtilde() instead of
   /// using aopt.gtilde_static (set by "gtilde=auto" / "gtilde=0").
   bool gtilde_auto = false;

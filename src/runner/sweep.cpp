@@ -101,8 +101,7 @@ SweepRunner::RunFn SweepRunner::default_run_fn(const SweepOptions& options) {
     r.max_global = max_global;
     r.max_local = max_local;
     if (options.check_legality) {
-      const auto report =
-          check_legality(s.engine(), s.spec().aopt.gtilde_static, options.level_cap);
+      const auto report = check_legality(s.engine(), s.spec().aopt.gtilde_static);
       r.legal = report.legal();
       r.legality_margin = report.worst_margin;
     }

@@ -88,7 +88,6 @@ struct SweepOptions {
   double horizon = 500.0;      ///< default run function: run until this time
   double sample_period = 5.0;  ///< default run function: skew sampling cadence
   bool check_legality = true;  ///< default run function: legality at horizon
-  int level_cap = 32;
 };
 
 class SweepRunner {

@@ -52,11 +52,11 @@ inline int parse_strict_int(const std::string& context, const std::string& value
 }
 
 inline std::uint64_t parse_strict_u64(const std::string& context,
-                                      const std::string& value) {
+                                      const std::string& value, int base = 10) {
   try {
     std::size_t pos = 0;
     require(value.empty() || value[0] != '-', "");  // stoull would wrap negatives
-    const std::uint64_t v = std::stoull(value, &pos);
+    const std::uint64_t v = std::stoull(value, &pos, base);
     require(pos == value.size(), "");
     return v;
   } catch (const std::exception&) {

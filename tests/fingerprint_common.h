@@ -12,15 +12,13 @@
 //
 // CSV layout (comma-separated, '#' comments):
 //
-//   name,kind,horizon,chaos,coalesce_inv,hash,events,spec
+//   name,kind,horizon,chaos,hash,events,spec
 //
 // `spec` is ScenarioSpec::str() — space-separated key=value pairs whose
 // values may contain commas (component params) — so it is the LAST field
-// and rows are parsed by splitting only the first seven commas. `chaos` is
+// and rows are parsed by splitting only the first six commas. `chaos` is
 // "-" for simulation rows; for rt rows it is a chaos preset name (presets
 // contain no commas; inline scripts are not allowed in the table).
-// `coalesce_inv` marks rows proven bit-identical under both instant
-// -coalescing modes (see Case::coalesce_invariant).
 #pragma once
 
 #include <cstdint>
@@ -32,6 +30,7 @@
 #include "metrics/fingerprint.h"
 #include "runner/scenario.h"
 #include "util/common.h"
+#include "util/registry.h"
 
 namespace gcs::fptable {
 
@@ -40,14 +39,6 @@ struct Case {
   std::string kind;   ///< "sim" (event-fold) or "rt" (lockstep sample-fold)
   double horizon = 20.0;
   std::string chaos;  ///< rt rows: preset name ("" = no chaos)
-  /// This row's trajectory is bit-identical under both instant-coalescing
-  /// modes, and the invariance suite + coalesce-flipped regeneration enforce
-  /// that. PR 5 proved the equivalence only where trigger scans draw no
-  /// per-scan state (beacon estimates; the baseline algorithms) — oracle
-  ///-estimate AOPT rows legitimately diverge (test_instant.cpp pins why),
-  /// so they are pinned per-mode (at the spec's own coalesce setting) and
-  /// excluded from the flip.
-  bool coalesce_invariant = false;
   ScenarioSpec spec;
 };
 
@@ -57,7 +48,6 @@ struct Row {
   std::string kind;
   double horizon = 0.0;
   std::string chaos;
-  bool coalesce_invariant = false;
   std::uint64_t hash = 0;
   std::uint64_t events = 0;
   std::string spec;  ///< ScenarioSpec::str(), reconstructable via set()
@@ -140,85 +130,79 @@ inline ScenarioSpec rt_base(const std::string& name, int n, std::uint64_t seed) 
 
 /// The pinned catalog: ≥20 simulation combinations spanning the registry's
 /// topology × algorithm × drift × estimate × gskew × adversary families,
-/// plus lockstep-runtime chaos rows. Rows flagged coalesce-invariant are
-/// additionally pinned across both instant-coalescing modes —
-/// test_fingerprint verifies the flag continuously, so a mislabeled row
-/// fails loudly rather than silently pinning a mode-dependent hash.
+/// plus lockstep-runtime chaos rows.
 inline std::vector<Case> catalog() {
   using detail::rt_base;
   using detail::sim_base;
   std::vector<Case> cases;
-  // `inv`: the row is coalesce-invariant (see Case::coalesce_invariant) —
-  // beacon-estimate rows and the baseline algorithms qualify; AOPT rows on
-  // oracle estimates do not (their trigger scans read scan-time state).
   const auto sim = [&cases](const std::string& name, ScenarioSpec spec,
-                            bool inv, double horizon = 20.0) {
-    cases.push_back(Case{name, "sim", horizon, "", inv, std::move(spec)});
+                            double horizon = 20.0) {
+    cases.push_back(Case{name, "sim", horizon, "", std::move(spec)});
   };
 
   // The reference row: beacon estimates, every typed event kind fires.
-  sim("beacon-reference", kernel_trace_reference_spec(), true, 30.0);
+  sim("beacon-reference", kernel_trace_reference_spec(), 30.0);
 
   // Topology family sweep (AOPT, spread drift, uniform estimates).
   {
     ScenarioSpec s = sim_base("fp-line", 24, 101);
     s.topology = ComponentSpec("line");
-    sim("line-spread-uniform", s, false);
+    sim("line-spread-uniform", s);
   }
   {
     ScenarioSpec s = sim_base("fp-ring", 24, 102);
     s.topology = ComponentSpec("ring");
-    sim("ring-spread-uniform", s, false);
+    sim("ring-spread-uniform", s);
   }
   {
     ScenarioSpec s = sim_base("fp-star", 16, 103);
     s.topology = ComponentSpec("star");
-    sim("star-spread-uniform", s, false);
+    sim("star-spread-uniform", s);
   }
   {
     ScenarioSpec s = sim_base("fp-complete", 12, 104);
     s.topology = ComponentSpec("complete");
     s.drift = ComponentSpec("none");
-    sim("complete-none-uniform", s, true);
+    sim("complete-none-uniform", s);
   }
   {
     ScenarioSpec s = sim_base("fp-grid", 24, 105);
     s.topology = ComponentSpec::parse("grid:rows=4,cols=6");
     s.drift = ComponentSpec::parse("walk:period=5");
-    sim("grid-walk-uniform", s, false);
+    sim("grid-walk-uniform", s);
   }
   {
     ScenarioSpec s = sim_base("fp-torus", 16, 106);
     s.topology = ComponentSpec::parse("torus:rows=4,cols=4");
     s.drift = ComponentSpec::parse("blocks:period=8,blocks=4");
-    sim("torus-blocks-uniform", s, false);
+    sim("torus-blocks-uniform", s);
   }
   {
     ScenarioSpec s = sim_base("fp-hypercube", 16, 107);
     s.topology = ComponentSpec::parse("hypercube:dim=4");
     s.estimates = ComponentSpec("beacon");
-    sim("hypercube-spread-beacon", s, true);
+    sim("hypercube-spread-beacon", s);
   }
   {
     ScenarioSpec s = sim_base("fp-barbell", 16, 108);
     s.topology = ComponentSpec::parse("barbell:k=5,path=6");
     s.drift = ComponentSpec::parse("walk:period=5");
-    sim("barbell-walk-uniform", s, false);
+    sim("barbell-walk-uniform", s);
   }
   {
     ScenarioSpec s = sim_base("fp-tree", 24, 109);
     s.topology = ComponentSpec("tree");
-    sim("tree-spread-uniform", s, false);
+    sim("tree-spread-uniform", s);
   }
   {
     ScenarioSpec s = sim_base("fp-gnp", 20, 110);
     s.topology = ComponentSpec::parse("gnp:p=0.2");
-    sim("gnp-spread-uniform", s, false);
+    sim("gnp-spread-uniform", s);
   }
   {
     ScenarioSpec s = sim_base("fp-geometric", 20, 111);
     s.topology = ComponentSpec::parse("geometric:radius=0.35");
-    sim("geometric-spread-uniform", s, false);
+    sim("geometric-spread-uniform", s);
   }
 
   // Algorithm family (same line workload, every registered algorithm).
@@ -226,19 +210,19 @@ inline std::vector<Case> catalog() {
     ScenarioSpec s = sim_base("fp-maxjump", 16, 112);
     s.topology = ComponentSpec("line");
     s.algo = ComponentSpec("max-jump");
-    sim("line-maxjump-spread-uniform", s, true);
+    sim("line-maxjump-spread-uniform", s);
   }
   {
     ScenarioSpec s = sim_base("fp-brm", 16, 113);
     s.topology = ComponentSpec("ring");
     s.algo = ComponentSpec("bounded-rate-max");
-    sim("ring-boundedratemax-spread-uniform", s, true);
+    sim("ring-boundedratemax-spread-uniform", s);
   }
   {
     ScenarioSpec s = sim_base("fp-free", 16, 114);
     s.topology = ComponentSpec("line");
     s.algo = ComponentSpec("free-running");
-    sim("line-freerunning-spread-uniform", s, true);
+    sim("line-freerunning-spread-uniform", s);
   }
 
   // Drift family (line/ring AOPT under every remaining drift model).
@@ -247,20 +231,20 @@ inline std::vector<Case> catalog() {
     s.topology = ComponentSpec("ring");
     s.drift = ComponentSpec::parse("sine:period=10,steps=16");
     s.estimates = ComponentSpec("zero");
-    sim("ring-sine-zero", s, false);
+    sim("ring-sine-zero", s);
   }
   {
     ScenarioSpec s = sim_base("fp-osc-const", 18, 116);
     s.topology = ComponentSpec("line");
     s.drift = ComponentSpec::parse("osc-const:ppm=150/-200/80");
-    sim("line-oscconst-uniform", s, false);
+    sim("line-oscconst-uniform", s);
   }
   {
     ScenarioSpec s = sim_base("fp-osc-random", 18, 117);
     s.topology = ComponentSpec("ring");
     s.drift = ComponentSpec::parse("osc-random:interval=4,change=50");
     s.estimates = ComponentSpec("beacon");
-    sim("ring-oscrandom-beacon", s, true);
+    sim("ring-oscrandom-beacon", s);
   }
 
   // Estimate + G̃-source families.
@@ -268,20 +252,20 @@ inline std::vector<Case> catalog() {
     ScenarioSpec s = sim_base("fp-adversarial", 16, 118);
     s.topology = ComponentSpec("star");
     s.estimates = ComponentSpec("adversarial");
-    sim("star-spread-adversarial", s, false);
+    sim("star-spread-adversarial", s);
   }
   {
     ScenarioSpec s = sim_base("fp-gskew-oracle", 16, 119);
     s.topology = ComponentSpec("line");
     s.gskew = ComponentSpec("oracle");
-    sim("line-gskew-oracle", s, false);
+    sim("line-gskew-oracle", s);
   }
   {
     ScenarioSpec s = sim_base("fp-gskew-dist", 16, 120);
     s.topology = ComponentSpec("ring");
     s.estimates = ComponentSpec("beacon");
     s.gskew = ComponentSpec("distributed");
-    sim("ring-beacon-gskew-distributed", s, true);
+    sim("ring-beacon-gskew-distributed", s);
   }
 
   // Dynamic-topology family (churn adversary; the reference row above
@@ -290,14 +274,14 @@ inline std::vector<Case> catalog() {
     ScenarioSpec s = sim_base("fp-churn-grid", 24, 121);
     s.topology = ComponentSpec::parse("grid:rows=4,cols=6");
     s.adversary = ComponentSpec::parse("churn:rate=0.4,start=5");
-    sim("grid-churn-uniform", s, false);
+    sim("grid-churn-uniform", s);
   }
   {
     ScenarioSpec s = sim_base("fp-churn-ring", 16, 122);
     s.topology = ComponentSpec("ring");
     s.estimates = ComponentSpec("beacon");
     s.adversary = ComponentSpec::parse("churn:rate=0.6,start=5,keep_connected=false");
-    sim("ring-churn-beacon", s, true);
+    sim("ring-churn-beacon", s);
   }
 
   // Island-decomposable family: beacon estimates on graphs with a cheap
@@ -311,46 +295,44 @@ inline std::vector<Case> catalog() {
     ScenarioSpec s = sim_base("fp-isl-clusters", 32, 123);
     s.topology = ComponentSpec::parse("clusters:k=4,s=8");
     s.estimates = ComponentSpec("beacon");
-    sim("clusters-beacon-edgeuniform", s, true);
+    sim("clusters-beacon-edgeuniform", s);
   }
   {
     ScenarioSpec s = sim_base("fp-isl-grid", 32, 124);
     s.topology = ComponentSpec::parse("grid:rows=4,cols=8");
     s.drift = ComponentSpec::parse("walk:period=5");
     s.estimates = ComponentSpec("beacon");
-    sim("grid-walk-beacon-edgeuniform", s, true);
+    sim("grid-walk-beacon-edgeuniform", s);
   }
   {
     ScenarioSpec s = sim_base("fp-isl-gskew", 24, 125);
     s.topology = ComponentSpec::parse("clusters:k=3,s=8,bridges=2");
     s.estimates = ComponentSpec("beacon");
     s.gskew = ComponentSpec("distributed");
-    sim("clusters-beacon-gskew-distributed-edgeuniform", s, true);
+    sim("clusters-beacon-gskew-distributed-edgeuniform", s);
   }
   {
     ScenarioSpec s = sim_base("fp-isl-maxjump", 24, 126);
     s.topology = ComponentSpec("line");
     s.algo = ComponentSpec("max-jump");
     s.estimates = ComponentSpec("beacon");
-    sim("line-maxjump-beacon-edgeuniform", s, true);
+    sim("line-maxjump-beacon-edgeuniform", s);
   }
   {
     ScenarioSpec s = sim_base("fp-isl-churn", 32, 127);
     s.topology = ComponentSpec::parse("clusters:k=4,s=8");
     s.estimates = ComponentSpec("beacon");
     s.adversary = ComponentSpec::parse("churn:rate=0.4,start=5");
-    sim("clusters-churn-beacon-edgeuniform", s, true);
+    sim("clusters-churn-beacon-edgeuniform", s);
   }
 
   // Lockstep-runtime chaos rows (preset names resolve deterministically
   // from (preset, topology, horizon, seed) — see rt/chaos.h).
-  // rt rows are pinned at their spec's own coalescing mode only (the flip
-  // equivalence is a simulation-engine claim; lockstep runs stay out of it).
-  cases.push_back(Case{"rt-ring-crash", "rt", 30.0, "crash", false,
+  cases.push_back(Case{"rt-ring-crash", "rt", 30.0, "crash",
                        rt_base("fp-rt-crash", 5, 201)});
-  cases.push_back(Case{"rt-ring-partition", "rt", 30.0, "partition", false,
+  cases.push_back(Case{"rt-ring-partition", "rt", 30.0, "partition",
                        rt_base("fp-rt-partition", 5, 202)});
-  cases.push_back(Case{"rt-ring-churn", "rt", 30.0, "churn", false,
+  cases.push_back(Case{"rt-ring-churn", "rt", 30.0, "churn",
                        rt_base("fp-rt-churn", 4, 203)});
 
   return cases;
@@ -375,36 +357,37 @@ inline FingerprintResult run_case(const Case& c) {
 inline std::string format_row(const Row& row) {
   std::ostringstream os;
   os << row.name << ',' << row.kind << ',' << ParamMap::format(row.horizon) << ','
-     << (row.chaos.empty() ? "-" : row.chaos) << ','
-     << (row.coalesce_invariant ? "yes" : "no") << ',' << std::hex;
+     << (row.chaos.empty() ? "-" : row.chaos) << ',' << std::hex;
   os.width(16);
   os.fill('0');
   os << row.hash << std::dec << ',' << row.events << ',' << row.spec;
   return os.str();
 }
 
+/// Parse one table line; a malformed row throws std::runtime_error naming
+/// the row and, for a bad number, the field.
 inline Row parse_row(const std::string& line) {
-  // The spec field is last and may contain commas: split only the first 7.
+  // The spec field is last and may contain commas: split only the first 6.
   std::vector<std::string> fields;
   std::size_t start = 0;
-  for (int i = 0; i < 7; ++i) {
+  for (int i = 0; i < 6; ++i) {
     const std::size_t comma = line.find(',', start);
     require(comma != std::string::npos, "fingerprint table: short row '" + line + "'");
     fields.push_back(line.substr(start, comma - start));
     start = comma + 1;
   }
   fields.push_back(line.substr(start));
+  const auto field = [&line](const char* name) {
+    return "fingerprint table: row '" + line + "': field '" + name + "'";
+  };
   Row row;
   row.name = fields[0];
   row.kind = fields[1];
-  row.horizon = std::stod(fields[2]);
+  row.horizon = parse_strict_double(field("horizon"), fields[2]);
   row.chaos = fields[3] == "-" ? "" : fields[3];
-  require(fields[4] == "yes" || fields[4] == "no",
-          "fingerprint table: bad coalesce_inv in row '" + line + "'");
-  row.coalesce_invariant = fields[4] == "yes";
-  row.hash = std::stoull(fields[5], nullptr, 16);
-  row.events = std::stoull(fields[6]);
-  row.spec = fields[7];
+  row.hash = parse_strict_u64(field("hash"), fields[4], 16);
+  row.events = parse_strict_u64(field("events"), fields[5]);
+  row.spec = fields[6];
   require(row.kind == "sim" || row.kind == "rt",
           "fingerprint table: unknown kind in row '" + line + "'");
   return row;
@@ -423,14 +406,17 @@ inline std::vector<Row> load_table(const std::string& path = table_path()) {
   return rows;
 }
 
-/// load_table(), except a missing file yields a single sentinel row (name
-/// "table_missing") instead of throwing — safe to call during gtest's
-/// static-init parameter expansion, where a throw would abort the binary
-/// before the regeneration test could ever run to create the file.
+/// load_table(), except a load error (missing file, malformed row) yields a
+/// single sentinel row — name "table_unreadable", empty kind, the error text
+/// in `spec` — instead of throwing. Safe to call during gtest's static-init
+/// parameter expansion, where a throw would abort the binary before the
+/// regeneration test could ever run to rewrite the file.
 inline std::vector<Row> load_table_or_sentinel() {
-  std::ifstream f(table_path());
-  if (!f.good()) return {Row{"table_missing", "", 0.0, "", false, 0, 0, ""}};
-  return load_table();
+  try {
+    return load_table();
+  } catch (const std::exception& e) {
+    return {Row{"table_unreadable", "", 0.0, "", 0, 0, e.what()}};
+  }
 }
 
 inline void save_table(const std::vector<Row>& rows,
@@ -441,16 +427,14 @@ inline void save_table(const std::vector<Row>& rows,
        "# Regenerate CONSCIOUSLY via scripts/regen_fingerprints.sh; see\n"
        "# docs/ARCHITECTURE.md (Fingerprint pinning) for when regeneration\n"
        "# is legitimate vs when a mismatch is a trajectory regression.\n"
-       "# name,kind,horizon,chaos,coalesce_inv,hash,events,spec\n";
+       "# name,kind,horizon,chaos,hash,events,spec\n";
   for (const Row& row : rows) f << format_row(row) << '\n';
 }
 
 /// Reconstruct the Case a committed row describes (used by the per-row
 /// tests: the row is self-contained, no catalog lookup needed).
 inline Case case_from_row(const Row& row) {
-  return Case{row.name,  row.kind,
-              row.horizon, row.chaos,
-              row.coalesce_invariant, spec_from_str(row.spec)};
+  return Case{row.name, row.kind, row.horizon, row.chaos, spec_from_str(row.spec)};
 }
 
 }  // namespace gcs::fptable

@@ -1,26 +1,19 @@
-// Instant-coalesced evaluation (EngineConfig::coalesce_instants).
+// Instant-coalesced evaluation: the engine evaluates each node's triggers
+// once per instant, after every effect of that instant has applied.
 //
 // Edge cases of the instant grouping: two deliveries to one node at
 // bit-identical timestamps, a delivery tying with a periodic timer, and a
 // node that joins and receives a message within the same instant. Each case
 // asserts (a) FIFO (time, seq) order is preserved WITHIN the instant group
 // — effects apply in exactly the order the events were scheduled — and
-// (b) the coalesced engine runs Algorithm::reevaluate() exactly once per
-// dirty node when the instant closes, where the legacy per-event mode runs
-// it once per event.
+// (b) the engine runs Algorithm::reevaluate() exactly once per dirty node
+// when the instant closes.
 //
-// Also the tentpole's paper-semantics equivalence claims:
-//  * with no two events sharing an instant, per-instant and per-event
-//    evaluation produce IDENTICAL skew trajectories (beacon estimates draw
-//    no per-scan randomness, so the comparison is bit-exact);
-//  * when instants are shared (zero-delay deliveries land on their send
-//    instant), the trajectories diverge — coalesced runs scan less — but
-//    both modes keep the paper's guarantees (legality, G <= G̃) and each
-//    mode stays seed-deterministic.
+// Also a full scenario whose deliveries land on their send instant (zero
+// minimum delay): it keeps the paper's guarantees (legality, G < G̃) and
+// stays seed-deterministic.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <string>
 #include <vector>
 
 #include "clock/drift.h"
@@ -73,8 +66,7 @@ struct FiredLog final : public KernelTraceSink {
 /// engine timers are pushed out to `tick_period` so tests control every
 /// event; beacons are disabled (messages are sent manually).
 struct World {
-  explicit World(int n, EdgeParams edge_params, bool coalesce,
-                 Duration tick_period = 1e6)
+  explicit World(int n, EdgeParams edge_params, Duration tick_period = 1e6)
       : graph(sim, n, 5),
         transport(sim, graph),
         drift(/*rho=*/0.0, /*offset=*/0.0, n),
@@ -88,7 +80,6 @@ struct World {
     config.tick_period = tick_period;
     config.beacon_period = tick_period;
     config.enable_beacons = false;
-    config.coalesce_instants = coalesce;
     AlgoParams algo_params;  // defaults are valid
     engine = std::make_unique<Engine>(
         sim, graph, transport, drift, estimates, gskew, algo_params, config,
@@ -121,7 +112,7 @@ EdgeParams tight_params(double delay_min) {
 }
 
 TEST(InstantCoalescing, TwoDeliveriesAtBitIdenticalTimestampEvaluateOnce) {
-  World w(3, tight_params(0.25), /*coalesce=*/true);
+  World w(3, tight_params(0.25));
   w.graph.create_edge_instant(EdgeKey(0, 1), w.params);
   w.graph.create_edge_instant(EdgeKey(1, 2), w.params);
   w.engine->start();
@@ -145,22 +136,10 @@ TEST(InstantCoalescing, TwoDeliveriesAtBitIdenticalTimestampEvaluateOnce) {
   EXPECT_EQ(group[1].kind, EventKind::kDelivery);
   EXPECT_EQ(group[0].node, 1);
   EXPECT_EQ(group[1].node, 1);
-
-  // The same two deliveries under legacy per-event semantics: two scans.
-  World legacy(3, tight_params(0.25), /*coalesce=*/false);
-  legacy.graph.create_edge_instant(EdgeKey(0, 1), legacy.params);
-  legacy.graph.create_edge_instant(EdgeKey(1, 2), legacy.params);
-  legacy.engine->start();
-  legacy.sim.run_until(1.0);
-  const int legacy_before = legacy.counts[1];
-  ASSERT_TRUE(legacy.transport.send(0, 1, Beacon{50.0, 100.0, 0.0}));
-  ASSERT_TRUE(legacy.transport.send(2, 1, Beacon{60.0, 200.0, 0.0}));
-  legacy.sim.run_until(2.0);
-  EXPECT_EQ(legacy.counts[1], legacy_before + 2);
 }
 
 TEST(InstantCoalescing, CleanDeliveryDoesNotTriggerEvaluation) {
-  World w(3, tight_params(0.25), /*coalesce=*/true);
+  World w(3, tight_params(0.25));
   w.graph.create_edge_instant(EdgeKey(0, 1), w.params);
   w.engine->start();
   w.sim.run_until(1.0);
@@ -183,7 +162,7 @@ TEST(InstantCoalescing, DeliveryAndTimerTieAtOneInstantEvaluateOnce) {
   // Node 1's first tick fires at tick_period * (1+1)/(3+1) = 2.5 * 0.5 =
   // 1.25, and a message sent at t=1 with the pinned 0.25 delay arrives at
   // 1.25 — both exact in binary, one instant group.
-  World w(3, tight_params(0.25), /*coalesce=*/true, /*tick_period=*/2.5);
+  World w(3, tight_params(0.25), /*tick_period=*/2.5);
   w.graph.create_edge_instant(EdgeKey(0, 1), w.params);
   w.engine->start();
   w.sim.run_until(1.0);
@@ -207,7 +186,7 @@ TEST(InstantCoalescing, DeliveryAndTimerTieAtOneInstantEvaluateOnce) {
 TEST(InstantCoalescing, JoinAndDeliveryAtOneInstantEvaluateOnce) {
   // A node joins (edge created) and receives a message within the same
   // instant: the zero-minimum delay lands the delivery on its send instant.
-  World w(2, tight_params(0.0), /*coalesce=*/true);
+  World w(2, tight_params(0.0));
   w.engine->start();
   w.sim.run_until(0.5);
   const int before0 = w.counts[0];
@@ -236,55 +215,12 @@ TEST(InstantCoalescing, JoinAndDeliveryAtOneInstantEvaluateOnce) {
 }
 
 // ---------------------------------------------------------------------------
-// Tentpole equivalence: per-instant vs per-event evaluation.
+// Shared instants in a full scenario.
 
-ScenarioSpec equivalence_spec(bool coalesce) {
-  ScenarioSpec spec;
-  spec.name = "instant-equivalence";
-  spec.n = 10;
-  spec.topology = ComponentSpec("line");
-  spec.edge_params = default_edge_params(0.05, 0.25, 0.5, 0.1);
-  spec.aopt.rho = 1e-3;
-  spec.aopt.mu = 0.1;
-  spec.gtilde_auto = true;
-  spec.drift = ComponentSpec("spread");
-  spec.estimates = ComponentSpec("beacon");
-  spec.seed = 20260729;
-  spec.engine.coalesce_instants = coalesce;
-  return spec;
-}
-
-TEST(InstantEquivalence, IdenticalTrajectoriesWhenNoEventsShareAnInstant) {
-  // Staggered per-node phases and continuous uniform delay draws keep every
-  // instant to a single event (the merged heartbeat is ONE event), so
-  // deferring the scan to the end of the instant changes nothing: same
-  // state, same instant, same decision. Beacon estimates draw no per-scan
-  // randomness, so the two modes must match bit-for-bit.
-  Scenario a(equivalence_spec(true));
-  Scenario b(equivalence_spec(false));
-  a.start();
-  b.start();
-  for (int step = 1; step <= 12; ++step) {
-    const Time t = 5.0 * step;
-    a.run_until(t);
-    b.run_until(t);
-    const auto sa = measure_skew(a.engine());
-    const auto sb = measure_skew(b.engine());
-    EXPECT_EQ(sa.global, sb.global) << "t=" << t;
-    EXPECT_EQ(sa.worst_local, sb.worst_local) << "t=" << t;
-  }
-  for (NodeId u = 0; u < a.spec().n; ++u) {
-    EXPECT_EQ(a.engine().logical(u), b.engine().logical(u)) << "node " << u;
-    EXPECT_EQ(a.engine().max_estimate(u), b.engine().max_estimate(u));
-  }
-  EXPECT_EQ(a.sim().fired_count(), b.sim().fired_count());
-}
-
-ScenarioSpec shared_instant_spec(bool coalesce) {
+ScenarioSpec shared_instant_spec() {
   // delay_min = 0 with pinned-minimum delays: every delivery lands ON its
   // send instant, so each beacon broadcast forms a multi-event instant group
-  // (sender heartbeat + receptions). This is the regime where per-instant
-  // and per-event evaluation genuinely diverge.
+  // (sender heartbeat + receptions) that the engine evaluates once.
   ScenarioSpec spec;
   spec.name = "instant-shared";
   spec.n = 8;
@@ -297,30 +233,21 @@ ScenarioSpec shared_instant_spec(bool coalesce) {
   spec.estimates = ComponentSpec("uniform");
   spec.delays = DelayMode::kMin;
   spec.seed = 42;
-  spec.engine.coalesce_instants = coalesce;
   return spec;
 }
 
-TEST(InstantEquivalence, BoundedDivergenceWhenInstantsAreShared) {
-  Scenario a(shared_instant_spec(true));
-  Scenario b(shared_instant_spec(false));
+TEST(InstantCoalescing, SharedInstantsKeepTheGuaranteesAndAreSeedDeterministic) {
+  Scenario a(shared_instant_spec());
   a.start();
-  b.start();
   a.run_until(120.0);
-  b.run_until(120.0);
 
-  // Coalescing merges scans on shared instants, so the coalesced run must
-  // have evaluated less; the oracle RNG streams then diverge and the
-  // trajectories are NOT identical — but both stay within the paper's
-  // guarantees, which is the bound that matters.
+  // Merging the scans of a shared instant keeps the paper's guarantees.
   const double gtilde = a.spec().aopt.gtilde_static;
-  for (Scenario* s : {&a, &b}) {
-    const auto snap = measure_skew(s->engine());
-    EXPECT_LT(snap.global, gtilde);
-    EXPECT_TRUE(check_legality(s->engine(), gtilde).legal());
-  }
-  // And each mode is individually seed-deterministic.
-  Scenario a2(shared_instant_spec(true));
+  EXPECT_LT(measure_skew(a.engine()).global, gtilde);
+  EXPECT_TRUE(check_legality(a.engine(), gtilde).legal());
+
+  // And the run is seed-deterministic.
+  Scenario a2(shared_instant_spec());
   a2.start();
   a2.run_until(120.0);
   EXPECT_EQ(measure_skew(a.engine()).global, measure_skew(a2.engine()).global);

@@ -71,12 +71,13 @@ TEST(ScenarioSpec, SetRejectsUnknownKeysAndBadValues) {
 }
 
 TEST(ScenarioSpec, LegacyAliasesMapToComponents) {
-  // The seed-era flat aliases are gone: each is an unknown key now.
+  // The seed-era flat aliases and the retired engine/island knobs are gone:
+  // each is an unknown key now.
   ScenarioSpec spec;
   for (const char* key :
        {"rows", "cols", "dim", "k", "path", "p", "radius", "block_period",
         "sine_period", "walk_period", "blocks", "walk_std", "churn",
-        "gskew_factor", "gskew_margin", "gskew_hint"}) {
+        "gskew_factor", "gskew_margin", "gskew_hint", "coalesce", "island_budget"}) {
     EXPECT_THROW(spec.set(key, "1"), std::runtime_error) << key;
   }
   // Their canonical forms produce the spec the aliases used to.
