@@ -111,10 +111,22 @@ Engine::Engine(Simulator& sim, DynamicGraph& graph, Transport& transport,
   estimates_consume_beacons_ = estimates_.consumes_beacons();
   graph_.set_listener(this);
   transport_.set_sink(this);
+  if (!config_.executed.empty()) {
+    executed_.assign(static_cast<std::size_t>(n), 0);
+    for (const NodeId u : config_.executed) {
+      require(u >= 0 && u < n, "Engine: executed node " + std::to_string(u) +
+                                   " out of range for n=" + std::to_string(n));
+      executed_[static_cast<std::size_t>(u)] = 1;
+    }
+    transport_.set_executed(&executed_);
+  }
 }
 
 void Engine::start() {
   require(!started_, "Engine: start() called twice");
+  require(executed_.empty() || transport_.has_outbound(),
+          "Engine: a partial replica (EngineConfig::executed) needs an outbound "
+          "hook (Transport::set_outbound)");
   started_ = true;
   // When tick and beacon cadence coincide (the default), one heartbeat
   // event per node drives both duties in the order the split events fired
@@ -127,9 +139,8 @@ void Engine::start() {
   // sequences identical to the pre-probe engine.
   const Duration probe_period = estimates_.probe_period();
   for (NodeId u = 0; u < n; ++u) {
-    // Service/island mode: only locally-executed nodes run; the rest are
-    // mirrors.
-    if (!is_local(u)) continue;
+    // Partial replica: only executed nodes run; the rest are mirrors.
+    if (!executes(u)) continue;
     node(u).algo->init();
     schedule_drift(u);
     // Stagger per-node periodic events so same-time bursts do not mask
@@ -231,10 +242,10 @@ double Engine::metric_kappa(const EdgeKey& e) {
 void Engine::on_edge_discovered(NodeId u, NodeId peer) {
   advance(u);
   kappa_cache_.erase(EdgeKey(u, peer));  // belt-and-braces vs ε policy changes
-  // Service/island mode: mirror nodes track topology but never run algorithm
-  // logic — a mirror reacting to a runtime-originated edge event would try
-  // to send from a node the transport does not own.
-  if (!is_local(u)) return;
+  // Partial replica: mirror nodes track topology but never run algorithm
+  // logic — a mirror reacting to an edge event would send from a node this
+  // replica does not execute.
+  if (!executes(u)) return;
   node(u).algo->on_edge_discovered(peer);
   if (started_) mark_dirty(u);
 }
@@ -242,7 +253,7 @@ void Engine::on_edge_discovered(NodeId u, NodeId peer) {
 void Engine::on_edge_lost(NodeId u, NodeId peer) {
   advance(u);
   estimates_.on_edge_lost(u, peer);
-  if (!is_local(u)) return;
+  if (!executes(u)) return;
   node(u).algo->on_edge_lost(peer);
   if (started_) mark_dirty(u);
 }

@@ -149,20 +149,14 @@ struct EngineConfig {
   Duration tick_period = 0.25;    ///< re-evaluation cadence (real time)
   Duration beacon_period = 0.25;  ///< beacon cadence (real time)
   bool enable_beacons = true;     ///< M flooding + beacon estimates
-  /// Service mode (src/rt): when set, this engine instance *executes* only
-  /// the named node — init, timers and trigger evaluation run for it alone,
-  /// and every other node exists purely as an addressing/topology mirror
-  /// whose clock slots are dead data (its estimates come over the wire).
-  /// kNoNode (the default) executes every node: simulation mode, bit-exact
-  /// with the pre-rt engine.
-  NodeId local_node = kNoNode;
-  /// Island mode (src/runner/island_runner): the many-node generalization of
-  /// local_node. When non-empty (one byte per node, nonzero = local), this
-  /// engine instance executes exactly the masked nodes and mirrors the rest,
-  /// same semantics as local_node. Programmatic only — never serialized into
-  /// spec strings (the runner derives it from the island plan). Combines
-  /// with local_node conjunctively, though in practice only one is set.
-  std::vector<std::uint8_t> local_mask;
+  /// The nodes this engine instance *executes*: init, timers and trigger
+  /// evaluation run for them alone, and every other node exists purely as
+  /// an addressing/topology mirror whose clock slots are dead data. Empty
+  /// (the default) executes every node. A runtime node executes {self}, an
+  /// island shard its island; sends to the other nodes leave through the
+  /// transport's outbound hook (Transport::set_outbound), which start()
+  /// requires. Programmatic only — never serialized into spec strings.
+  std::vector<NodeId> executed;
 };
 
 /// Passive instrumentation: notified of the engine's discrete transitions.
@@ -414,13 +408,12 @@ class Engine final : public DynamicGraph::Listener,
   GlobalSkewEstimator& gskew_;
   AlgoParams params_;
   EngineConfig config_;
-  /// Does this engine instance execute node `u` (vs mirror it)? Service mode
-  /// gates on local_node, island mode on local_mask; the default — neither
-  /// set — executes everything.
-  [[nodiscard]] bool is_local(NodeId u) const {
-    if (config_.local_node != kNoNode && u != config_.local_node) return false;
-    return config_.local_mask.empty() ||
-           config_.local_mask[static_cast<std::size_t>(u)] != 0;
+  /// config_.executed as one byte per node (nonzero = executed); empty when
+  /// every node is. The transport reads the same vector.
+  std::vector<std::uint8_t> executed_;
+  /// Does this engine instance execute node `u` (vs mirror it)?
+  [[nodiscard]] bool executes(NodeId u) const {
+    return executed_.empty() || executed_[static_cast<std::size_t>(u)] != 0;
   }
   void trace(EventKind kind, NodeId u) {
     if (trace_ != nullptr) trace_->on_event_fired(sim_.now(), u, kind);

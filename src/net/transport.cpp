@@ -72,17 +72,12 @@ bool Transport::send(NodeId from, NodeId to, Payload payload) {
 }
 
 void Transport::send_via(NodeId from, const NeighborView& to, Payload&& payload) {
-  if (egress_ != nullptr) {
-    ++sent_;
-    egress_->send(from, to.id, sim_.now(), payload);
-    return;
-  }
   // Degree 1: inline the payload beside the kernel slot — no arena slot to
   // acquire at send or reclaim at fire (see send_fanout's degree rule).
   const Duration delay = pick_delay(from, to.id, *to.params);
   ++sent_;
-  if (is_cross(to.id)) {
-    cross_capture_(from, to.id, sim_.now(), sim_.now() + delay, payload);
+  if (is_outbound(to.id)) {
+    outbound_(from, to.id, sim_.now(), sim_.now() + delay, payload);
     return;
   }
   SimEvent ev = SimEvent::delivery(channel_, from, to.id, sim_.now(), 0);
@@ -93,32 +88,25 @@ void Transport::send_via(NodeId from, const NeighborView& to, Payload&& payload)
 void Transport::send_fanout(NodeId from, const std::vector<NeighborView>& views,
                             Payload payload) {
   if (views.empty()) return;
-  if (egress_ != nullptr) {
-    for (const NeighborView& nv : views) {
-      ++sent_;
-      egress_->send(from, nv.id, sim_.now(), payload);
-    }
-    return;
-  }
   // Degree-adaptive path choice, made once per send: at fan-out degree <= 2
   // (lines, rings, sparse meshes) MessageArena bookkeeping costs more than
   // simply copying the 32 payload bytes per delivery, so the payload rides
   // inline in the kernel's blob side array. Dense fan-out keeps the arena:
   // ONE payload for the whole neighborhood; every delivery holds a
   // reference, the last firing (or drop) reclaims the slot.
-  // Island routing always takes the inline path: cross-island captures do
-  // not schedule kernel events here, so arena reference counts sized to the
+  // A partial replica always takes the inline path: outbound sends do not
+  // schedule kernel events here, so arena reference counts sized to the
   // full fan-out would never balance. Payload content, delay draws and
   // delivery times are identical either way.
-  if (views.size() <= 2 || local_mask_ != nullptr) {
+  if (views.size() <= 2 || executed_ != nullptr) {
     SimEvent ev = SimEvent::delivery(channel_, from, kNoNode, sim_.now(), 0);
     ev.flags = kEventFlagInlineBlob;
     const InlineBlob blob = to_blob(payload);
     for (const NeighborView& nv : views) {
       const Duration delay = pick_delay(from, nv.id, *nv.params);
       ++sent_;
-      if (is_cross(nv.id)) {
-        cross_capture_(from, nv.id, sim_.now(), sim_.now() + delay, payload);
+      if (is_outbound(nv.id)) {
+        outbound_(from, nv.id, sim_.now(), sim_.now() + delay, payload);
         continue;
       }
       ev.node = nv.id;
@@ -165,7 +153,7 @@ void Transport::dispatch(const SimEvent& ev) {
     return;
   }
   ++delivered_;
-  if (sink_ != nullptr || handler_) {
+  if (sink_ != nullptr) {
     Delivery d;
     d.from = ev.from;
     d.to = ev.node;
@@ -188,11 +176,7 @@ void Transport::dispatch(const SimEvent& ev) {
     } else {
       d.payload = arena_.peek(ref);
     }
-    if (sink_ != nullptr) {
-      sink_->on_delivery(d);
-    } else {
-      handler_(d);
-    }
+    sink_->on_delivery(d);
   }
   if (!inline_blob) arena_.release(ref);
 }

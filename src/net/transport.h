@@ -5,6 +5,13 @@
 // receiver's view throughout transit; otherwise it is dropped (the paper
 // allows either). Delay values can be sampled or adversarially pinned per
 // direction, which the §8 lower-bound construction uses.
+//
+// A partial replica (an island shard, a runtime node) executes only some
+// nodes. Every send it makes still passes the sender-view check and draws
+// its keyed delay; a send to a node it does not execute then leaves through
+// the outbound hook instead of being scheduled here, and whoever carries it
+// brings it back in on the executing replica (inject_delivery on a shard,
+// the engine's DeliverySink at runtime).
 #pragma once
 
 #include <functional>
@@ -39,54 +46,39 @@ class DeliverySink {
   virtual void on_delivery(const Delivery& d) = 0;
 };
 
-/// Service-mode bypass (src/rt): when installed, every send that passes the
-/// sender-view check is handed here instead of being scheduled as a kernel
-/// delivery — the real transport (pipe rings, UDP sockets) carries it, and
-/// the receiving process injects it back through DeliverySink. The in-sim
-/// delay model, drop rule and arena are all bypassed; with no egress set
-/// the transport behaves exactly as before.
-class TransportEgress {
- public:
-  virtual ~TransportEgress() = default;
-  virtual void send(NodeId from, NodeId to, Time sent_at, const Payload& payload) = 0;
-};
-
 class Transport {
  public:
-  using Handler = std::function<void(const Delivery&)>;
+  /// Receives every send whose destination this replica does not execute,
+  /// with the sender-drawn delay already folded into `arrival` (see
+  /// set_outbound).
+  using Outbound = std::function<void(NodeId from, NodeId to, Time sent_at,
+                                      Time arrival, const Payload& payload)>;
 
   Transport(Simulator& sim, DynamicGraph& graph, std::uint64_t seed = 23);
 
-  /// The engine's delivery path. A set sink takes precedence over the
-  /// closure handler (which remains for tests and ad-hoc probes).
+  /// The engine's delivery path.
   void set_sink(DeliverySink* sink) { sink_ = sink; }
-  void set_handler(Handler handler) { handler_ = std::move(handler); }
   void set_delay_mode(DelayMode mode) { delay_mode_ = mode; }
-  /// Divert outbound messages to a real transport (nullptr restores the
-  /// in-sim delivery path).
-  void set_egress(TransportEgress* egress) { egress_ = egress; }
 
   /// Probe of delivery firings (time, receiver, kDelivery); nullptr detaches.
   void set_kernel_trace(KernelTraceSink* trace) { trace_ = trace; }
 
-  /// Island-parallel routing (src/runner/island_runner): when a local mask is
-  /// installed, a send whose destination is NOT local to this shard is handed
-  /// to `capture` — with the sender-drawn delay already folded into `arrival`
-  /// — instead of being scheduled here; the runner injects it into the owning
-  /// shard at the next window barrier. Pass nullptr/empty to restore. The
-  /// mask must outlive the routing and have one byte per node (nonzero =
-  /// local). Mutually exclusive with an egress.
-  using CrossCapture = std::function<void(NodeId from, NodeId to, Time sent_at,
-                                          Time arrival, const Payload& payload)>;
-  void set_island_routing(const std::vector<std::uint8_t>* local_mask,
-                          CrossCapture capture) {
-    local_mask_ = local_mask;
-    cross_capture_ = std::move(capture);
-  }
+  /// Partial replica (EngineConfig::executed): `executed` holds one byte per
+  /// node, nonzero = executed here, and must stay valid while sends run; nullptr
+  /// (the default) means every node is executed. The engine installs its
+  /// own expansion here, so engine and transport cannot disagree.
+  void set_executed(const std::vector<std::uint8_t>* executed) { executed_ = executed; }
+  /// A send to a node this replica does not execute is not scheduled here:
+  /// after the usual sender-view check and delay draw it goes to `hook`,
+  /// which carries it to the replica that does (the island runner's barrier
+  /// exchange, the runtime's wire transport).
+  void set_outbound(Outbound hook) { outbound_ = std::move(hook); }
+  [[nodiscard]] bool has_outbound() const { return static_cast<bool>(outbound_); }
 
-  /// Schedule a delivery captured on another shard. Fires through the normal
-  /// dispatch path (trace, drop rule, sink) at absolute time `arrival`, so
-  /// the receiver observes exactly what the serial engine would have.
+  /// Schedule a delivery that another replica's outbound hook captured.
+  /// Fires through the normal dispatch path (trace, drop rule, sink) at
+  /// absolute time `arrival`, so the receiver observes exactly what the
+  /// serial engine would have.
   void inject_delivery(NodeId from, NodeId to, Time sent_at, Time arrival,
                        const Payload& payload);
 
@@ -130,8 +122,8 @@ class Transport {
 
  private:
   [[nodiscard]] Duration pick_delay(NodeId from, NodeId to, const EdgeParams& params);
-  [[nodiscard]] bool is_cross(NodeId to) const {
-    return local_mask_ != nullptr && (*local_mask_)[static_cast<std::size_t>(to)] == 0;
+  [[nodiscard]] bool is_outbound(NodeId to) const {
+    return executed_ != nullptr && (*executed_)[static_cast<std::size_t>(to)] == 0;
   }
 
   Simulator& sim_;
@@ -140,11 +132,9 @@ class Transport {
   std::uint8_t channel_ = kNoChannel;  ///< registered dispatch channel
   KeyedDraw delay_draw_;
   std::vector<std::uint64_t> sends_;  ///< per sender: sends so far, the delay draw's k
-  const std::vector<std::uint8_t>* local_mask_ = nullptr;
-  CrossCapture cross_capture_;
+  const std::vector<std::uint8_t>* executed_ = nullptr;
+  Outbound outbound_;
   DeliverySink* sink_ = nullptr;
-  TransportEgress* egress_ = nullptr;
-  Handler handler_;
   KernelTraceSink* trace_ = nullptr;
   DelayMode delay_mode_ = DelayMode::kUniform;
   std::unordered_map<std::uint64_t, Duration> directional_override_;

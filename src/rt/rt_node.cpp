@@ -3,16 +3,29 @@
 namespace gcs {
 
 ScenarioSpec RtNode::localize(ScenarioSpec spec, NodeId self) {
-  spec.engine.local_node = self;
+  spec.engine.executed = {self};
   return spec;
 }
 
 RtNode::RtNode(ScenarioSpec spec, NodeId self, RtTransport& net, TimeSource& clock)
     : self_(self), net_(net), clock_(clock),
       scenario_(localize(std::move(spec), self)) {
-  require(self >= 0 && self < scenario_.spec().n,
-          "RtNode: self out of range for the resolved topology");
-  scenario_.transport().set_egress(this);
+  // Every send of a one-node replica is outbound. The wire carries no
+  // arrival time, so the delay drawn for it is unused: the receiver injects
+  // the frame at its own clock's now (see inject).
+  scenario_.transport().set_outbound([this](NodeId from, NodeId to, Time sent_at,
+                                            Time /*arrival*/, const Payload& payload) {
+    // Only the executed node ever sends; anything else would mean a mirror
+    // node ran logic it must not.
+    require(from == self_, "RtNode: egress from a non-executed node");
+    if (muted_) return;  // restart catch-up: the dead period stays silent
+    WireMsg m;
+    m.from = from;
+    m.to = to;
+    m.sent_at = sent_at;
+    m.payload = payload;
+    if (net_.send(m)) ++egress_;
+  });
 }
 
 void RtNode::enable_detector(const DetectorConfig& config) {
@@ -194,19 +207,6 @@ void RtNode::request_restart() {
 void RtNode::recover_logical(ClockValue anchor) {
   Engine& engine = scenario_.engine();
   if (anchor > engine.logical(self_)) engine.corrupt_logical(self_, anchor);
-}
-
-void RtNode::send(NodeId from, NodeId to, Time sent_at, const Payload& payload) {
-  // Only the executed node ever sends in service mode; anything else would
-  // mean a mirror node ran logic it must not.
-  require(from == self_, "RtNode: egress from a non-local node");
-  if (muted_) return;  // restart catch-up: the dead period stays silent
-  WireMsg m;
-  m.from = from;
-  m.to = to;
-  m.sent_at = sent_at;
-  m.payload = payload;
-  if (net_.send(m)) ++egress_;
 }
 
 }  // namespace gcs

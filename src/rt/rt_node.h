@@ -2,15 +2,16 @@
 // transport, estimate layer, engine, AOPT) slaved to a wall clock, with the
 // in-sim delivery path diverted onto a real transport.
 //
-// Every node runs its own *replica* of the scenario in service mode
-// (EngineConfig::local_node): the replica executes timers, probes and
+// Every node runs its own *partial replica* of the scenario
+// (EngineConfig::executed = {self}): the replica executes timers, probes and
 // trigger evaluation for exactly one node; every other node exists only as
-// an addressing/topology mirror. Outbound messages leave through
-// TransportEgress onto the RtTransport; inbound frames are injected back
-// through the engine's DeliverySink, which closes the instant-coalesced
-// evaluation loop exactly as a kernel delivery would. The Engine and
-// AoptNode code paths are byte-for-byte the ones the simulator exercises —
-// that is the point of the seam.
+// an addressing/topology mirror — the one-node case of an island shard.
+// Every send is therefore outbound: the transport's outbound hook (the same
+// one island shards use) hands it to the RtTransport. Inbound frames are
+// injected back through the engine's DeliverySink, which closes the
+// instant-coalesced evaluation loop exactly as a kernel delivery would. The
+// Engine and AoptNode code paths are byte-for-byte the ones the simulator
+// exercises — that is the point of the seam.
 //
 // Membership (optional, enable_detector): a LivenessDetector observes the
 // ingress stream and drives the local DynamicGraph — silence evicts an edge
@@ -40,7 +41,7 @@
 
 namespace gcs {
 
-class RtNode final : public TransportEgress {
+class RtNode {
  public:
   /// `spec` is the SHARED scenario description — every node of a cluster is
   /// constructed from the same spec (same seed, same topology, same drift
@@ -105,9 +106,6 @@ class RtNode final : public TransportEgress {
   [[nodiscard]] std::uint64_t rejected_count() const { return rejected_; }
   /// Frames discarded while crashed.
   [[nodiscard]] std::uint64_t discarded_count() const { return discarded_; }
-
-  // ------------------------------------------------------- TransportEgress
-  void send(NodeId from, NodeId to, Time sent_at, const Payload& payload) override;
 
  private:
   enum Admin : int { kUp, kCrashRequested, kDown, kRestartRequested };

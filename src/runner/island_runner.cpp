@@ -26,10 +26,8 @@ IslandExecutionPlan plan_islands(const ScenarioSpec& spec, int requested) {
 
   // Spec-level decomposability. Each rule names the shared state that would
   // observe the execution order across islands (full matrix: ARCHITECTURE.md).
-  if (spec.engine.local_node != kNoNode)
-    return serial("service mode (engine.local_node) owns the transport");
-  if (!spec.engine.local_mask.empty())
-    return serial("engine.local_mask is reserved for the runner itself");
+  if (!spec.engine.executed.empty())
+    return serial("engine.executed already names a partial replica");
   if (spec.edge_params.msg_delay_min <= 0.0)
     return serial("msg_delay_min == 0 leaves no conservative window width");
   if (spec.gskew.kind == "oracle")
@@ -96,24 +94,20 @@ IslandRunner::IslandRunner(ScenarioSpec spec, IslandExecutionPlan plan)
   }
   const int k = plan_.partition.islands;
   const int n = static_cast<int>(plan_.partition.island_of.size());
-  masks_.resize(static_cast<std::size_t>(k));
   outbox_.resize(static_cast<std::size_t>(k));
   shards_.reserve(static_cast<std::size_t>(k));
   for (int i = 0; i < k; ++i) {
-    auto& mask = masks_[static_cast<std::size_t>(i)];
-    mask.assign(static_cast<std::size_t>(n), 0);
-    for (int u = 0; u < n; ++u)
-      if (plan_.partition.island_of[static_cast<std::size_t>(u)] == i)
-        mask[static_cast<std::size_t>(u)] = 1;
-    // Full replica, local execution: same spec + seed means topology,
+    // Full replica, partial execution: same spec + seed means topology,
     // detection delays, adversary schedule and drift replay identically on
-    // every shard; the mask restricts which nodes *act*.
+    // every shard; the executed set restricts which nodes *act*.
     ScenarioSpec shard_spec = spec_;
-    shard_spec.engine.local_mask = mask;
+    for (NodeId u = 0; u < n; ++u)
+      if (plan_.partition.island_of[static_cast<std::size_t>(u)] == i)
+        shard_spec.engine.executed.push_back(u);
     shards_.push_back(std::make_unique<Scenario>(std::move(shard_spec)));
-    shards_.back()->transport().set_island_routing(
-        &mask, [this, i](NodeId from, NodeId to, Time sent_at, Time arrival,
-                         const Payload& payload) {
+    shards_.back()->transport().set_outbound(
+        [this, i](NodeId from, NodeId to, Time sent_at, Time arrival,
+                  const Payload& payload) {
           outbox_[static_cast<std::size_t>(i)].push_back(
               {from, to, sent_at, arrival, payload});
         });

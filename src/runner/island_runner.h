@@ -4,19 +4,21 @@
 // graph/partition.h); each island gets a full Scenario replica — identical
 // spec, identical seed, so topology, adversary schedule, detection delays and
 // drift streams replay bit-identically on every shard — whose Engine executes
-// only the island's nodes (EngineConfig::local_mask) and mirrors the rest.
+// only the island's nodes (EngineConfig::executed) and mirrors the rest.
 // Every shard owns its own Simulator, pinned to one worker thread.
 //
 // Shards advance in conservative synchronous windows of width
 // Δ = msg_delay_min: each runs Simulator::run_before(W) (events strictly
 // below the window end, armed instants flushed), then meets the others at a
 // std::barrier whose completion step exchanges cross-island deliveries. A
-// send to a non-local node is captured sender-side — WITH the sender-drawn
-// per-edge delay, so the arrival instant is exactly what the serial engine
-// would have computed — and injected into the owning shard's simulator at the
-// barrier. Since every message takes at least Δ to arrive, a capture from
-// window (W−Δ, W) lands at arrival >= W: injection at the W barrier can never
-// violate causality.
+// send to a node another shard executes reaches the transport's outbound
+// hook sender-side — WITH the sender-drawn keyed delay, so the arrival
+// instant is exactly what the serial engine would have computed — and the
+// runner injects it into the owning shard's simulator at the barrier. Since
+// every message takes at least Δ to arrive, a capture from window (W−Δ, W)
+// lands at arrival >= W: injection at the W barrier can never violate
+// causality. (A runtime node is the one-node case of the same partial
+// replica; see src/rt/rt_node.h.)
 //
 // Determinism across 1/2/8 workers: captures are merged at each barrier in a
 // canonical order — stable-sorted by (arrival, sent_at, from, to), where
@@ -48,8 +50,9 @@ struct IslandExecutionPlan {
 /// Decide how `spec` executes with `requested` islands (the spec.islands
 /// encoding: 0 = off, -1 = auto from the hardware, N >= 1 = exactly N).
 /// Serial fallback triggers on, in order: islands off; auto on a single
-/// hardware thread; service-mode local_node; zero msg_delay_min (no
-/// conservative window); gskew=oracle (reads every node's live clock); a
+/// hardware thread; a spec that already names its executed nodes (a runtime
+/// node's or a shard's own); zero msg_delay_min (no conservative window);
+/// gskew=oracle (reads every node's live clock); a
 /// reference node; an infeasible partition (cut over the budget of n edges,
 /// < 2 islands); oracle estimates (zero, uniform, adversarial) with a
 /// non-empty cut (their scans read neighbors' live clocks, which are dead
@@ -96,7 +99,6 @@ class IslandRunner {
 
   ScenarioSpec spec_;
   IslandExecutionPlan plan_;
-  std::vector<std::vector<std::uint8_t>> masks_;  ///< per-shard local masks
   std::vector<std::unique_ptr<Scenario>> shards_;
   std::vector<std::vector<CapturedSend>> outbox_;  ///< per-shard, shard-thread-local
   std::vector<CapturedSend> merge_scratch_;        ///< barrier-completion only

@@ -466,7 +466,24 @@ bool Simulator::step() {
   }
 }
 
-void Simulator::run_until(Time t) {
+template <bool kBefore>
+void Simulator::drain(Time t) {
+  // The horizon test and the idle-advance are the only differences between
+  // run_until and run_before; both are resolved at compile time, so the
+  // per-event loop carries no extra branch.
+  const auto beyond = [t](const HeapEntry& e) {
+    if constexpr (kBefore) {
+      return e.time() >= t;  // events AT t wait for after the caller's barrier
+    } else {
+      return e.time() > t;
+    }
+  };
+  const auto idle_to_horizon = [this, t] {
+    // run_before never idles: a peer shard may inject anywhere in [now, t).
+    if constexpr (!kBefore) {
+      if (now_ < t) now_ = t;
+    }
+  };
   while (prepare_next()) {
     // Batch-drain the sorted run: while the run front is the next event,
     // pop-and-fire in this tight loop without re-entering wheel bookkeeping.
@@ -484,14 +501,14 @@ void Simulator::run_until(Time t) {
         flush_instant();
         continue;
       }
-      if (top.time() > t) {
+      if (beyond(top)) {
         // The degenerate t <= now() call can reach here with the instant
         // still open (the boundary check above only fires for top > now).
         if (flush_armed_) {
           flush_instant();
           continue;
         }
-        if (now_ < t) now_ = t;  // idle up to the horizon; run front is beyond it
+        idle_to_horizon();  // the run front is beyond the horizon
         return;
       }
       ++run_head_;
@@ -508,12 +525,12 @@ void Simulator::run_until(Time t) {
         flush_instant();
         continue;  // the flush may have changed what fires next
       }
-      if (top.time() > t) {
+      if (beyond(top)) {
         if (flush_armed_) {
           flush_instant();
           continue;
         }
-        if (now_ < t) now_ = t;
+        idle_to_horizon();
         return;
       }
       pop_root();
@@ -527,63 +544,16 @@ void Simulator::run_until(Time t) {
   if (flush_armed_) {
     flush_instant();
     if (prepare_next()) {
-      run_until(t);
+      drain<kBefore>(t);
       return;
     }
   }
-  if (now_ < t) now_ = t;
+  idle_to_horizon();
 }
 
-void Simulator::run_before(Time t) {
-  // Structurally run_until with two deliberate differences: the horizon test
-  // is `>= t` (events AT t stay queued for after the caller's barrier), and
-  // now_ is never idle-advanced to t (a peer shard may inject events at any
-  // time in [now, t)). Kept as a separate body so run_until — the path every
-  // serial scenario and pinned fingerprint runs through — is
-  // untouched.
-  while (prepare_next()) {
-    while (run_head_ < run_.size() &&
-           (heap_.empty() || fires_before(run_[run_head_], heap_[0]))) {
-      const HeapEntry top = run_[run_head_];
-      if (flush_armed_ && top.time() > now_) {
-        flush_instant();
-        continue;
-      }
-      if (top.time() >= t) {
-        if (flush_armed_) {
-          flush_instant();
-          continue;
-        }
-        return;
-      }
-      ++run_head_;
-      if (run_head_ < run_.size()) {
-        __builtin_prefetch(&recs_[run_[run_head_].slot()]);
-      }
-      fire_entry(top);
-    }
-    if (!heap_.empty()) {
-      const HeapEntry top = heap_[0];
-      if (flush_armed_ && top.time() > now_) {
-        flush_instant();
-        continue;
-      }
-      if (top.time() >= t) {
-        if (flush_armed_) {
-          flush_instant();
-          continue;
-        }
-        return;
-      }
-      pop_root();
-      fire_entry(top);
-    }
-  }
-  if (flush_armed_) {
-    flush_instant();
-    if (prepare_next()) run_before(t);
-  }
-}
+void Simulator::run_until(Time t) { drain<false>(t); }
+
+void Simulator::run_before(Time t) { drain<true>(t); }
 
 void Simulator::run() {
   while (step()) {

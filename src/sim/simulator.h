@@ -367,6 +367,11 @@ class Simulator {
   }
   /// Fire one event already detached from its container.
   void fire_entry(const HeapEntry& top);
+  /// The one drain loop behind run_until (kBefore = false: fire events at
+  /// <= t, then idle now_ up to t) and run_before (kBefore = true: fire
+  /// events strictly below t, leave now_ where the last event put it).
+  template <bool kBefore>
+  void drain(Time t);
   /// Run the armed instant-flush hooks until none re-arms. Pre: flush_armed_.
   void flush_instant();
   /// Advance cur_epoch_ to the next epoch holding events and promote its

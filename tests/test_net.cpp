@@ -1,15 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/dynamic_graph.h"
 #include "net/transport.h"
+#include "runner/scenario.h"
 #include "sim/simulator.h"
 
 namespace gcs {
 namespace {
 
-struct Fixture {
+struct Fixture : DeliverySink {
   Simulator sim;
   DynamicGraph graph{sim, 4, 7};
   Transport transport{sim, graph, 9};
@@ -25,10 +27,12 @@ struct Fixture {
     p.msg_delay_max = delay_max;
     graph.create_edge_instant(EdgeKey(0, 1), p);
     graph.create_edge_instant(EdgeKey(1, 2), p);
-    transport.set_handler([this](const Delivery& d) {
-      deliveries.push_back(d);
-      payloads.push_back(*d.payload);
-    });
+    transport.set_sink(this);
+  }
+
+  void on_delivery(const Delivery& d) override {
+    deliveries.push_back(d);
+    payloads.push_back(*d.payload);
   }
 };
 
@@ -132,6 +136,84 @@ TEST(Transport, PayloadVariantsRoundTrip) {
   }
   EXPECT_EQ(beacons, 1);
   EXPECT_EQ(inserts, 1);
+}
+
+// A partial replica that executes only node 1 of the fixture's 0-1-2 line:
+// every send it makes leaves through the outbound hook, in send order and
+// fan-out view order, carrying the arrival a full replica schedules for the
+// same send, and nothing stays in flight on the replica itself.
+TEST(Transport, PartialReplicaSendsLeaveThroughTheOutboundHook) {
+  struct Outbound {
+    NodeId from;
+    NodeId to;
+    Time sent_at;
+    Time arrival;
+    double serial;  ///< the Beacon's logical field tags each send
+  };
+  Fixture full;
+  Fixture part;
+  const std::vector<std::uint8_t> executed{0, 1, 0, 0};
+  part.transport.set_executed(&executed);
+  std::vector<Outbound> out;
+  part.transport.set_outbound([&](NodeId from, NodeId to, Time sent_at, Time arrival,
+                                  const Payload& payload) {
+    out.push_back({from, to, sent_at, arrival, std::get<Beacon>(payload).logical});
+  });
+  const auto send_all = [](Fixture& f) {
+    f.sim.run_until(0.05);
+    const std::vector<NeighborView>& views = f.graph.view_neighbors(1);
+    EXPECT_TRUE(f.transport.send(1, 0, Beacon{0.0, 0.0}));
+    f.transport.send_fanout(1, views, Beacon{1.0, 0.0});
+    f.transport.send_via(1, views.back(), Beacon{2.0, 0.0});
+    EXPECT_TRUE(f.transport.send(1, 2, Beacon{3.0, 0.0}));
+  };
+  send_all(full);
+  send_all(part);
+
+  const std::vector<NeighborView>& views = part.graph.view_neighbors(1);
+  ASSERT_EQ(views.size(), 2u);
+  std::vector<std::pair<NodeId, double>> expected{{0, 0.0}};
+  for (const NeighborView& nv : views) expected.emplace_back(nv.id, 1.0);
+  expected.emplace_back(views.back().id, 2.0);
+  expected.emplace_back(2, 3.0);
+  ASSERT_EQ(out.size(), expected.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].from, 1);
+    EXPECT_EQ(out[i].to, expected[i].first);
+    EXPECT_EQ(out[i].serial, expected[i].second);
+    EXPECT_EQ(out[i].sent_at, 0.05);
+  }
+  EXPECT_EQ(part.sim.pending_count(), 0u);
+  EXPECT_EQ(part.transport.arena().live(), 0u);
+  EXPECT_EQ(part.transport.sent_count(), full.transport.sent_count());
+
+  full.sim.run();
+  ASSERT_EQ(full.deliveries.size(), out.size());
+  for (const Outbound& o : out) {
+    int matches = 0;
+    for (std::size_t i = 0; i < full.deliveries.size(); ++i) {
+      if (full.deliveries[i].to != o.to ||
+          std::get<Beacon>(full.payloads[i]).logical != o.serial)
+        continue;
+      ++matches;
+      EXPECT_EQ(full.deliveries[i].delivered_at, o.arrival);
+    }
+    EXPECT_EQ(matches, 1);
+  }
+  part.sim.run();
+  EXPECT_TRUE(part.deliveries.empty());
+}
+
+TEST(Transport, PartialReplicaWithoutOutboundHookRefusesToStart) {
+  ScenarioSpec spec;
+  spec.n = 3;
+  spec.topology = ComponentSpec("line");
+  spec.engine.executed = {1};
+  Scenario bare(spec);
+  EXPECT_THROW(bare.start(), std::runtime_error);
+  Scenario hooked(spec);
+  hooked.transport().set_outbound([](NodeId, NodeId, Time, Time, const Payload&) {});
+  EXPECT_NO_THROW(hooked.start());
 }
 
 }  // namespace

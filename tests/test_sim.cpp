@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -14,6 +15,16 @@
 
 namespace gcs {
 namespace {
+
+/// Hands every delivery to a closure: the test-side stand-in for the engine.
+class FnSink final : public DeliverySink {
+ public:
+  explicit FnSink(std::function<void(const Delivery&)> fn) : fn_(std::move(fn)) {}
+  void on_delivery(const Delivery& d) override { fn_(d); }
+
+ private:
+  std::function<void(const Delivery&)> fn_;
+};
 
 TEST(Simulator, FiresInTimeOrder) {
   Simulator sim;
@@ -58,6 +69,47 @@ TEST(Simulator, RunUntilStopsAtBoundaryAndAdvancesTime) {
   EXPECT_DOUBLE_EQ(sim.now(), 3.0);  // idle time still advances
   sim.run_until(10.0);
   EXPECT_EQ(fired, (std::vector<double>{1.0, 5.0}));
+}
+
+TEST(Simulator, RunBeforeLeavesHorizonEventsQueued) {
+  // The island runner's window primitive: only events strictly below the
+  // horizon fire, idle time is not advanced, and an instant still open at
+  // the horizon is flushed (with its same-instant follow-ups) before return.
+  struct Flush {
+    Simulator* sim;
+    std::vector<double>* fired;
+    int runs = 0;
+  };
+  Simulator sim;
+  std::vector<double> fired;
+  Flush flush{&sim, &fired};
+  sim.register_instant_flush(&flush, [](void* self) {
+    auto* f = static_cast<Flush*>(self);
+    ++f->runs;
+    const Time t = f->sim->now();
+    f->sim->schedule_at(t, [fired = f->fired, t] { fired->push_back(-t); });
+  });
+  const Time below = std::nextafter(2.0, 0.0);
+  sim.schedule_at(1.0, [&] { fired.push_back(1.0); });
+  sim.schedule_at(below, [&] {
+    fired.push_back(below);
+    sim.request_instant_flush();
+  });
+  sim.schedule_at(2.0, [&] { fired.push_back(2.0); });
+
+  sim.run_before(2.0);
+  EXPECT_EQ(fired, (std::vector<double>{1.0, below, -below}));
+  EXPECT_EQ(flush.runs, 1);
+  EXPECT_EQ(sim.now(), below);  // not idle-advanced to the horizon
+  EXPECT_EQ(sim.pending_count(), 1u);  // the event AT the horizon waits
+
+  sim.run_before(2.0);  // nothing below the horizon is left: a no-op
+  EXPECT_EQ(sim.now(), below);
+  EXPECT_EQ(fired.size(), 3u);
+
+  sim.run_until(2.0);
+  EXPECT_EQ(fired.back(), 2.0);
+  EXPECT_EQ(sim.pending_count(), 0u);
 }
 
 TEST(Simulator, EventsScheduledDuringEventsRun) {
@@ -429,7 +481,8 @@ TEST(MessageArena, TransportFanoutReclaimsAfterLastInFlightDelivery) {
   graph.create_edge_instant(EdgeKey(0, 3), p);
   Transport transport{sim, graph, 9};
   int delivered = 0;
-  transport.set_handler([&](const Delivery&) { ++delivered; });
+  FnSink sink([&](const Delivery&) { ++delivered; });
+  transport.set_sink(&sink);
   transport.set_directional_delay(0, 1, 0.1);
   transport.set_directional_delay(0, 2, 0.4);
   transport.set_directional_delay(0, 3, 0.4);
@@ -459,9 +512,8 @@ TEST(MessageArena, SmallFanoutBypassesArenaWithInlinePayload) {
   graph.create_edge_instant(EdgeKey(0, 2), p);
   Transport transport{sim, graph, 9};
   std::vector<Beacon> seen;
-  transport.set_handler([&](const Delivery& d) {
-    seen.push_back(std::get<Beacon>(*d.payload));
-  });
+  FnSink sink([&](const Delivery& d) { seen.push_back(std::get<Beacon>(*d.payload)); });
+  transport.set_sink(&sink);
   transport.send_fanout(0, graph.view_neighbors(0), Beacon{5.0, 7.0, -1.0});
   EXPECT_EQ(transport.arena().live(), 0u);  // inline path: no arena slot
   sim.run();
@@ -522,7 +574,7 @@ TEST(Transport, ArenaVsCopyingEquivalenceRandomized) {
   Transport transport{sim, graph, 77};
   std::vector<Beacon> sent_copies;  // the copying reference model
   std::uint64_t checked = 0;
-  transport.set_handler([&](const Delivery& d) {
+  FnSink sink([&](const Delivery& d) {
     const auto* b = std::get_if<Beacon>(d.payload);
     ASSERT_NE(b, nullptr);
     const auto serial = static_cast<std::size_t>(b->logical);
@@ -532,6 +584,7 @@ TEST(Transport, ArenaVsCopyingEquivalenceRandomized) {
     EXPECT_EQ(b->min_estimate, sent_copies[serial].min_estimate);
     ++checked;
   });
+  transport.set_sink(&sink);
   Rng rng(123);
   std::uint64_t closure_fired = 0;
   for (int round = 0; round < 300; ++round) {
