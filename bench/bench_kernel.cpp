@@ -214,9 +214,9 @@ BENCHMARK(BM_InstantCoalescedSharedInstants)->Arg(256);
 /// cleanly and measure the scaling curve; on a 1-core host the committed
 /// baselines instead pin the costs a multi-core run must amortize —
 /// line_1024 (long horizon) isolates window/barrier/merge overhead, while
-/// grid_4096 (short horizon, huge n) weighs setup (one G̃ derivation plus
-/// O(islands*n) full-replica construction) against event work (see
-/// ARCHITECTURE "Island-parallel execution").
+/// grid_4096 (short horizon, huge n) weighs setup (O(islands*n) replica
+/// construction; the one G̃ derivation is 5 BFS there) against event work
+/// (see ARCHITECTURE "Island-parallel execution").
 /// complete_64 plans a serial fallback at >= 2 islands (the bipartition cut
 /// exceeds the budget), so its 2/8-island rows pin the fallback's unchanged
 /// serial rate.

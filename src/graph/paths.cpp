@@ -13,6 +13,10 @@ AdjacencyList build_adjacency(
     const std::function<double(const EdgeKey&)>& weight) {
   AdjacencyList adj(static_cast<std::size_t>(n));
   for (const auto& e : edges) {
+    if (e.a < 0 || e.b >= n) [[unlikely]] {
+      throw std::runtime_error("build_adjacency: endpoint outside [0, " +
+                               std::to_string(n) + ") on " + e.str());
+    }
     const double w = weight(e);
     if (w <= 0.0) [[unlikely]] {
       throw std::runtime_error("build_adjacency: non-positive edge weight on " +
@@ -63,6 +67,56 @@ std::vector<int> bfs_hops(const AdjacencyList& adj, NodeId src) {
   return dist;
 }
 
+int hop_diameter(const AdjacencyList& adj) {
+  const std::size_t n = adj.size();
+  if (n <= 1) return 0;
+  // ecc[v]: v's eccentricity once a BFS has run from v, else -1; lb: the
+  // largest found. far[v]: v's largest hop count to any sweep source.
+  std::vector<int> ecc(n, -1);
+  std::vector<int> far(n, 0);
+  std::vector<std::pair<std::size_t, std::vector<int>>> sweeps;
+  int lb = 0;
+  const auto bfs = [&](std::size_t src) {
+    auto hops = bfs_hops(adj, static_cast<NodeId>(src));
+    ecc[src] = *std::ranges::max_element(hops);
+    lb = std::max(lb, ecc[src]);
+    return hops;
+  };
+  // Hop counts from src, one BFS per source across the sweeps.
+  const auto sweep = [&](std::size_t src) -> const std::vector<int>& {
+    for (const auto& [s, hops] : sweeps) {
+      if (s == src) return hops;
+    }
+    auto hops = bfs(src);
+    for (std::size_t v = 0; v < n; ++v) far[v] = std::max(far[v], hops[v]);
+    return sweeps.emplace_back(src, std::move(hops)).second;
+  };
+  // First node at the largest hop count from src.
+  const auto farthest = [&](std::size_t src) {
+    const auto& hops = sweep(src);
+    return static_cast<std::size_t>(std::ranges::max_element(hops) - hops.begin());
+  };
+  // First node minimising its largest hop count to the sources swept so far.
+  const auto center = [&] {
+    return static_cast<std::size_t>(std::ranges::min_element(far) - far.begin());
+  };
+  if (std::ranges::count(sweep(0), -1) > 0) return -1;
+  // 4-sweep (Magnien, Latapy & Habib, JEA 2009) for a lower bound and a
+  // central u, then iFUB (Crescenzi et al., TCS 2013): once every node more
+  // than i hops from u has its eccentricity, a longer path could only join
+  // two nodes within i hops of u, so the diameter is lb once lb >= 2i.
+  sweep(farthest(farthest(0)));
+  sweep(farthest(farthest(center())));
+  const std::size_t u = center();
+  const auto& from_u = sweep(u);
+  for (int i = ecc[u]; lb < 2 * i; --i) {
+    for (std::size_t v = 0; v < n; ++v) {
+      if (from_u[v] == i && ecc[v] < 0) bfs(v);
+    }
+  }
+  return lb;
+}
+
 namespace {
 
 NodeId farthest_node(const std::vector<double>& dist) {
@@ -105,17 +159,11 @@ double weighted_diameter(const AdjacencyList& adj) {
     }
   }
   if (uniform) {
-    // One weight w everywhere (suggest_gtilde's kappa graph): BFS from every
-    // source in O(n * m). Bit-identical to Dijkstra: each relaxation adds w to
-    // a settled distance, so a node h hops away gets the h-fold sequential sum
-    // S(h), and S never decreases.
-    int hops = 0;
-    for (NodeId u = 0; u < static_cast<NodeId>(adj.size()); ++u) {
-      for (int h : bfs_hops(adj, u)) {
-        if (h < 0) return kTimeInf;
-        hops = std::max(hops, h);
-      }
-    }
+    // One weight w everywhere (suggest_gtilde's kappa graph). Bit-identical to
+    // Dijkstra: each relaxation adds w to a settled distance, so a node h hops
+    // away gets the h-fold sequential sum S(h), and S never decreases.
+    const int hops = hop_diameter(adj);
+    if (hops < 0) return kTimeInf;
     double diameter = 0.0;
     for (int h = 0; h < hops; ++h) diameter += first->weight;
     return diameter;

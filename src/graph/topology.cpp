@@ -4,6 +4,8 @@
 #include <cmath>
 #include <deque>
 
+#include "graph/paths.h"
+
 namespace gcs {
 
 std::vector<EdgeKey> topo_line(int n) {
@@ -200,34 +202,7 @@ std::vector<EdgeKey> topo_random_geometric(int n, double radius, Rng& rng,
 }
 
 int hop_diameter(int n, const std::vector<EdgeKey>& edges) {
-  if (n <= 1) return 0;
-  std::vector<std::vector<NodeId>> adj(static_cast<std::size_t>(n));
-  for (const auto& e : edges) {
-    adj[static_cast<std::size_t>(e.a)].push_back(e.b);
-    adj[static_cast<std::size_t>(e.b)].push_back(e.a);
-  }
-  int diameter = 0;
-  std::vector<int> dist(static_cast<std::size_t>(n));
-  for (int src = 0; src < n; ++src) {
-    std::fill(dist.begin(), dist.end(), -1);
-    std::deque<NodeId> frontier{src};
-    dist[static_cast<std::size_t>(src)] = 0;
-    while (!frontier.empty()) {
-      NodeId u = frontier.front();
-      frontier.pop_front();
-      for (NodeId v : adj[static_cast<std::size_t>(u)]) {
-        if (dist[static_cast<std::size_t>(v)] < 0) {
-          dist[static_cast<std::size_t>(v)] = dist[static_cast<std::size_t>(u)] + 1;
-          frontier.push_back(v);
-        }
-      }
-    }
-    for (int d : dist) {
-      if (d < 0) return -1;  // disconnected
-      diameter = std::max(diameter, d);
-    }
-  }
-  return diameter;
+  return hop_diameter(build_adjacency(n, edges, [](const EdgeKey&) { return 1.0; }));
 }
 
 // --------------------------------------------------------------------------

@@ -67,7 +67,8 @@ std::vector<EdgeKey> topo_random_geometric(int n, double radius, Rng& rng,
 std::vector<EdgeKey> edges_within_radius(const std::vector<Point2>& positions,
                                          double radius);
 
-/// Hop diameter of an undirected edge list (-1 if disconnected).
+/// Hop diameter of an undirected edge list (-1 if disconnected); the
+/// iFUB hop_diameter of paths.h on its unit-weight adjacency.
 int hop_diameter(int n, const std::vector<EdgeKey>& edges);
 
 // --------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <string>
 
 #include "core/params.h"
 #include "graph/adversary.h"
@@ -249,6 +251,102 @@ TEST(Paths, UniformWeightDiameterEdgeCases) {
   EXPECT_TRUE(std::isinf(weighted_diameter(build_adjacency(2, {}, weight))));
   EXPECT_EQ(weighted_diameter(build_adjacency(1, {}, weight)), 0.0);
   EXPECT_EQ(weighted_diameter(build_adjacency(0, {}, weight)), 0.0);
+}
+
+TEST(Paths, HopDiameterMatchesAllPairsDijkstraOnSeededGraphs) {
+  // iFUB stops early on a bound; these families give it peripheries, bridges,
+  // symmetric graphs and disconnected inputs to get that bound wrong on.
+  const double kappa =
+      AlgoParams{}.edge_constants(default_edge_params(0.05, 0.25, 0.5, 0.1)).kappa;
+  Rng rng(29);
+  std::vector<Point2> positions;
+  const auto shifted = [](std::vector<EdgeKey> edges) {
+    for (auto& e : edges) e = EdgeKey(e.a + 1, e.b + 1);
+    return edges;
+  };
+  struct Case {
+    std::string name;
+    int n;
+    std::vector<EdgeKey> edges;
+  };
+  std::vector<Case> cases;
+  for (int i = 0; i < 60; ++i) {
+    const double p = std::array{0.05, 0.1, 0.2, 0.4}[static_cast<std::size_t>(i % 4)];
+    cases.push_back({"gnp p=" + std::to_string(p), 8 + i, topo_gnp_connected(8 + i, p, rng)});
+  }
+  for (int i = 0; i < 40; ++i) {
+    const double radius = 0.15 + 0.05 * (i % 4);
+    cases.push_back({"random-geometric", 10 + 2 * i,
+                     topo_random_geometric(10 + 2 * i, radius, rng, &positions)});
+  }
+  for (int i = 0; i < 40; ++i) {
+    const int n = 10 + 3 * i;
+    auto edges = topo_random_tree(n, rng);
+    for (int c = 0; c <= i % 5; ++c) {
+      const auto u = static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(n)));
+      const auto v = static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(n)));
+      if (u != v) edges.emplace_back(u, v);
+    }
+    cases.push_back({"tree+chords", n, edges});
+  }
+  for (int k = 2; k <= 6; ++k) {
+    for (int path = 0; path <= 4; ++path) {
+      cases.push_back({"barbell", 2 * k + path, topo_barbell(k, path)});
+    }
+  }
+  for (int k = 3; k <= 7; ++k) {
+    for (const int tail : {0, 1, 3, 8}) {
+      auto edges = topo_complete(k);
+      for (int i = 0; i < tail; ++i) edges.emplace_back(k - 1 + i, k + i);
+      cases.push_back({"lollipop", k + tail, edges});
+    }
+  }
+  for (int rows = 3; rows <= 6; ++rows) {
+    for (int cols = 3; cols <= 6; ++cols) {
+      cases.push_back({"torus", rows * cols, topo_torus(rows, cols)});
+    }
+  }
+  for (int dim = 1; dim <= 8; ++dim) {
+    cases.push_back({"hypercube", 1 << dim, topo_hypercube(dim)});
+  }
+  for (int i = 0; i < 10; ++i) {
+    const int n = 6 + 4 * i;
+    cases.push_back({"isolated-first", n, shifted(topo_gnp_connected(n - 1, 0.3, rng))});
+    cases.push_back({"isolated-last", n, topo_gnp_connected(n - 1, 0.3, rng)});
+  }
+  ASSERT_GE(cases.size(), 200u);
+
+  const auto unit = [](const EdgeKey&) { return 1.0; };
+  for (const auto& c : cases) {
+    const double hops = all_pairs_dijkstra_diameter(build_adjacency(c.n, c.edges, unit));
+    EXPECT_EQ(hop_diameter(c.n, c.edges), std::isinf(hops) ? -1 : static_cast<int>(hops))
+        << c.name << " n=" << c.n;
+    for (const double w : {kappa, 0.1}) {
+      const auto adj = build_adjacency(c.n, c.edges, [w](const EdgeKey&) { return w; });
+      EXPECT_EQ(weighted_diameter(adj), all_pairs_dijkstra_diameter(adj))
+          << c.name << " n=" << c.n << " w=" << w;
+    }
+  }
+}
+
+TEST(Paths, HopDiameterClosedFormsAtScale) {
+  // One BFS per node would take hours on the grid; iFUB needs a handful.
+  EXPECT_EQ(hop_diameter(512 * 512, topo_grid(512, 512)), 1022);
+  EXPECT_EQ(hop_diameter(64 * 64, topo_torus(64, 64)), 64);
+  EXPECT_EQ(hop_diameter(1 << 12, topo_hypercube(12)), 12);
+  EXPECT_EQ(hop_diameter(10001, topo_ring(10001)), 5000);
+}
+
+TEST(Paths, BuildAdjacencyRejectsOutOfRangeEndpoints) {
+  const auto unit = [](const EdgeKey&) { return 1.0; };
+  EXPECT_THROW(build_adjacency(3, {EdgeKey(-1, 2)}, unit), std::runtime_error);
+  EXPECT_THROW(hop_diameter(3, {EdgeKey(0, 1), EdgeKey(2, 5)}), std::runtime_error);
+  try {
+    build_adjacency(3, {EdgeKey(0, 1), EdgeKey(1, 3)}, unit);
+    FAIL() << "endpoint 3 is outside [0, 3)";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("{1,3}"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Paths, MixedWeightDiameterStaysDijkstra) {
