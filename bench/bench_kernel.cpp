@@ -171,11 +171,11 @@ void BM_BeaconScenarioSimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_BeaconScenarioSimulation)->Arg(16)->Arg(64);
 
-/// High fan-out beacon traffic (complete graph, degree n-1): the regime the
-/// message arena is built for — ONE payload construction per broadcast is
-/// shared by every in-flight delivery instead of being copied per edge.
-/// Compare against BM_ScenarioSimulation (line, degree 2), where payload
-/// sharing cannot pay for its bookkeeping.
+/// High fan-out beacon traffic (complete graph, degree n-1): ONE arena
+/// payload per broadcast is shared by n-1 in-flight deliveries. Compare
+/// against BM_ScenarioSimulation (line, degree 2), where the same arena slot
+/// serves only two deliveries, so its put/release cost is amortized over
+/// far fewer events.
 void BM_DenseScenarioSimulation(benchmark::State& state) {
   const auto n = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -208,17 +208,18 @@ void BM_InstantCoalescedSharedInstants(benchmark::State& state) {
 }
 BENCHMARK(BM_InstantCoalescedSharedInstants)->Arg(256);
 
-/// ONE scenario through the island-parallel engine at 1/2/8 requested
-/// workers (the islands arg), on an island-decomposable spec shape (beacon
-/// estimates, per-edge delay streams). grid_4096 and line_1024 partition
-/// cleanly and measure the scaling curve; on a 1-core host the committed
+/// ONE scenario through the island-parallel engine at 1/2/4/8 requested
+/// workers (the islands arg; 4 is the ROADMAP acceptance point), on an
+/// island-decomposable spec shape (beacon estimates, the default delays
+/// keyed by sender, receiver and send count). grid_4096 and line_1024
+/// partition cleanly and measure the scaling curve; on a 1-core host the committed
 /// baselines instead pin the costs a multi-core run must amortize —
 /// line_1024 (long horizon) isolates window/barrier/merge overhead, while
 /// grid_4096 (short horizon, huge n) weighs setup (O(islands*n) replica
 /// construction; the one G̃ derivation is 5 BFS there) against event work
 /// (see ARCHITECTURE "Island-parallel execution").
 /// complete_64 plans a serial fallback at >= 2 islands (the bipartition cut
-/// exceeds the budget), so its 2/8-island rows pin the fallback's unchanged
+/// exceeds the budget), so its 2/4/8-island rows pin the fallback's unchanged
 /// serial rate.
 void BM_IslandScenarioSimulation(benchmark::State& state, const char* topology,
                                  int n, Time horizon) {
@@ -247,11 +248,11 @@ void BM_IslandScenarioSimulation(benchmark::State& state, const char* topology,
 }
 BENCHMARK_CAPTURE(BM_IslandScenarioSimulation, grid_4096, "grid:rows=64,cols=64",
                   4096, 5.0)
-    ->ArgName("islands")->Arg(1)->Arg(2)->Arg(8)->UseRealTime();
+    ->ArgName("islands")->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 BENCHMARK_CAPTURE(BM_IslandScenarioSimulation, line_1024, "line", 1024, 20.0)
-    ->ArgName("islands")->Arg(1)->Arg(2)->Arg(8)->UseRealTime();
+    ->ArgName("islands")->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 BENCHMARK_CAPTURE(BM_IslandScenarioSimulation, complete_64, "complete", 64, 20.0)
-    ->ArgName("islands")->Arg(1)->Arg(2)->Arg(8)->UseRealTime();
+    ->ArgName("islands")->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 /// Sweep throughput through SweepRunner's shared-counter worker pool: a grid
 /// of independent line scenarios, reported as runs/second. The thread-count

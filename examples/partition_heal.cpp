@@ -5,7 +5,8 @@
 // skew between clusters is detected and drained at the guaranteed rate
 // (Theorem 5.6 II), while the staged insertion brings the bridge to the
 // full gradient guarantee without ever breaking legality inside the
-// clusters.
+// clusters. Exits 1 unless the bridge recovers within the Theorem 5.6 II
+// drain time (skew at heal / guaranteed rate) plus one 5-unit polling step.
 #include <iostream>
 
 #include "metrics/legality.h"
@@ -92,12 +93,17 @@ int main() {
   report("steady");
   table.print();
 
+  const Duration drain_bound = skew_at_heal / guaranteed_rate + 5.0;
+  const bool within_bound = recovered - healed_at <= drain_bound;
   std::cout << "inter-cluster skew at heal: " << format_double(skew_at_heal)
             << "\nrecovery took " << format_double(recovered - healed_at, 1)
             << " (guaranteed drain rate " << format_double(guaranteed_rate, 4)
             << " => at most ~" << format_double(skew_at_heal / guaranteed_rate, 1)
             << ")\nnote: legality inside the clusters held through partition "
                "AND healing —\nthe staged bridge insertion never disrupts "
-               "edges that stayed alive (§4.2).\n";
-  return 0;
+               "edges that stayed alive (§4.2).\n"
+            << "recovery within the Thm 5.6 II drain time + one polling step ("
+            << format_double(drain_bound, 1) << "): " << (within_bound ? "YES" : "NO")
+            << "\n";
+  return within_bound ? 0 : 1;
 }

@@ -1,13 +1,13 @@
 // Generation-tagged arena for in-flight message payloads.
 //
-// Zero-copy delivery: a sender constructs one Payload in the arena and every
-// scheduled Delivery references it by an opaque 64-bit ref. Beacon fan-out
-// puts ONE payload for the whole neighborhood with the fan-out degree as the
-// initial reference count; each delivery firing (or drop) releases one
+// Zero-copy delivery: every send puts one Payload in the arena and every
+// delivery it schedules references it by an opaque 64-bit ref. A beacon
+// fan-out puts ONE payload for the whole neighborhood with the number of
+// scheduled deliveries as the initial reference count (a unicast or an
+// injected delivery: one); each delivery firing (or drop) releases one
 // reference, and the slot is reclaimed — its generation bumped, its index
-// freelisted — when the last reference goes. This removes the per-delivery
-// std::variant copy from the kernel round trip entirely: the kernel moves an
-// 8-byte ref, never payload bytes.
+// freelisted — when the last reference goes. The kernel round trip moves
+// an 8-byte ref, never payload bytes.
 //
 // Ref encoding (hot-path design): the low 48 bits are the slot's ADDRESS,
 // the high 16 bits its generation tag. Resolving a ref is therefore one AND

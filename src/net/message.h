@@ -54,13 +54,10 @@ struct LivenessPing {
 using Payload =
     std::variant<Beacon, InsertEdgeMsg, TimeRequest, TimeResponse, LivenessPing>;
 
-/// A message delivered to a node. `payload` points either into the
-/// transport's message arena (net/arena.h) or at a stack copy of the
-/// kernel's staged inline blob (Simulator::fired_blob); Transport::
-/// send_fanout's degree rule picks the path. Either way it is valid only
-/// for the duration of the on_delivery call —
-/// consumers that keep a message must copy the Payload (or the fields they
-/// need) out.
+/// A message delivered to a node. `payload` points into the transport's
+/// message arena (net/arena.h) and is valid only for the duration of the
+/// on_delivery call — consumers that keep a message must copy the Payload
+/// (or the fields they need) out.
 struct Delivery {
   NodeId from = kNoNode;
   NodeId to = kNoNode;

@@ -1,8 +1,6 @@
 #include "net/transport.h"
 
 #include <algorithm>
-#include <cstring>
-#include <type_traits>
 
 namespace gcs {
 
@@ -10,20 +8,6 @@ namespace {
 std::uint64_t dir_key(NodeId from, NodeId to) {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)) << 32) |
          static_cast<std::uint32_t>(to);
-}
-
-// The inline-blob delivery path stores the Payload bytes directly in the
-// kernel's 32-byte blob slot; both properties are what make that a plain
-// block copy with no destructor obligations.
-static_assert(std::is_trivially_copyable_v<Payload>,
-              "inline delivery path copies Payload as raw bytes");
-static_assert(sizeof(Payload) <= sizeof(InlineBlob),
-              "Payload must fit the kernel's inline blob slot");
-
-InlineBlob to_blob(const Payload& payload) {
-  InlineBlob blob{};
-  std::memcpy(blob.bytes, &payload, sizeof(Payload));
-  return blob;
 }
 }  // namespace
 
@@ -64,62 +48,34 @@ Duration Transport::pick_delay(NodeId from, NodeId to, const EdgeParams& params)
   return params.msg_delay_max;
 }
 
-bool Transport::send(NodeId from, NodeId to, Payload payload) {
+bool Transport::send(NodeId from, NodeId to, const Payload& payload) {
   const NeighborView* nv = graph_.find_neighbor(from, to);
   if (nv == nullptr) return false;
-  send_via(from, *nv, std::move(payload));
+  send_fanout(from, std::span(nv, 1), payload);
   return true;
 }
 
-void Transport::send_via(NodeId from, const NeighborView& to, Payload&& payload) {
-  // Degree 1: inline the payload beside the kernel slot — no arena slot to
-  // acquire at send or reclaim at fire (see send_fanout's degree rule).
-  const Duration delay = pick_delay(from, to.id, *to.params);
-  ++sent_;
-  if (is_outbound(to.id)) {
-    outbound_(from, to.id, sim_.now(), sim_.now() + delay, payload);
-    return;
-  }
-  SimEvent ev = SimEvent::delivery(channel_, from, to.id, sim_.now(), 0);
-  ev.flags = kEventFlagInlineBlob;
-  sim_.schedule_event_after(delay, ev, to_blob(payload));
-}
-
-void Transport::send_fanout(NodeId from, const std::vector<NeighborView>& views,
-                            Payload payload) {
-  if (views.empty()) return;
-  // Degree-adaptive path choice, made once per send: at fan-out degree <= 2
-  // (lines, rings, sparse meshes) MessageArena bookkeeping costs more than
-  // simply copying the 32 payload bytes per delivery, so the payload rides
-  // inline in the kernel's blob side array. Dense fan-out keeps the arena:
-  // ONE payload for the whole neighborhood; every delivery holds a
-  // reference, the last firing (or drop) reclaims the slot.
-  // A partial replica always takes the inline path: outbound sends do not
-  // schedule kernel events here, so arena reference counts sized to the
-  // full fan-out would never balance. Payload content, delay draws and
-  // delivery times are identical either way.
-  if (views.size() <= 2 || executed_ != nullptr) {
-    SimEvent ev = SimEvent::delivery(channel_, from, kNoNode, sim_.now(), 0);
-    ev.flags = kEventFlagInlineBlob;
-    const InlineBlob blob = to_blob(payload);
-    for (const NeighborView& nv : views) {
-      const Duration delay = pick_delay(from, nv.id, *nv.params);
-      ++sent_;
-      if (is_outbound(nv.id)) {
-        outbound_(from, nv.id, sim_.now(), sim_.now() + delay, payload);
-        continue;
-      }
-      ev.node = nv.id;
-      sim_.schedule_event_after(delay, ev, blob);
-    }
-    return;
-  }
-  const std::uint64_t ref =
-      arena_.put(std::move(payload), static_cast<std::uint32_t>(views.size()));
+void Transport::send_fanout(NodeId from, std::span<const NeighborView> views,
+                            const Payload& payload) {
+  // ONE payload for every delivery scheduled here: each holds a reference,
+  // and the last firing (or drop) reclaims the slot. A send to a node this
+  // replica does not execute leaves through the outbound hook and holds
+  // none, so those are left out of the count — which draws nothing, keeping
+  // the delay draws in view order.
+  const auto local = static_cast<std::uint32_t>(
+      executed_ == nullptr
+          ? views.size()
+          : std::count_if(views.begin(), views.end(),
+                          [this](const NeighborView& nv) { return !is_outbound(nv.id); }));
+  const std::uint64_t ref = local == 0 ? 0 : arena_.put(payload, local);
   SimEvent ev = SimEvent::delivery(channel_, from, kNoNode, sim_.now(), ref);
   for (const NeighborView& nv : views) {
     const Duration delay = pick_delay(from, nv.id, *nv.params);
     ++sent_;
+    if (is_outbound(nv.id)) {
+      outbound_(from, nv.id, sim_.now(), sim_.now() + delay, payload);
+      continue;
+    }
     ev.node = nv.id;
     sim_.schedule_event_after(delay, ev);
   }
@@ -127,20 +83,15 @@ void Transport::send_fanout(NodeId from, const std::vector<NeighborView>& views,
 
 void Transport::inject_delivery(NodeId from, NodeId to, Time sent_at, Time arrival,
                                 const Payload& payload) {
-  SimEvent ev = SimEvent::delivery(channel_, from, to, sent_at, 0);
-  ev.flags = kEventFlagInlineBlob;
-  sim_.schedule_event_at(arrival, ev, to_blob(payload));
+  sim_.schedule_event_at(
+      arrival, SimEvent::delivery(channel_, from, to, sent_at, arena_.put(payload, 1)));
 }
 
 void Transport::dispatch(const SimEvent& ev) {
-  const bool inline_blob = (ev.flags & kEventFlagInlineBlob) != 0;
   const std::uint64_t ref = ev.payload_ref;
-  if (!inline_blob) {
-    // The payload line has been cold since send time; start pulling it in
-    // now so the miss overlaps the graph lookup below. (The inline path has
-    // no such line: the kernel already staged the payload bytes.)
-    MessageArena::prefetch(ref);
-  }
+  // The payload line has been cold since send time; start pulling it in now
+  // so the miss overlaps the graph lookup below.
+  MessageArena::prefetch(ref);
   if (trace_ != nullptr) {
     trace_->on_event_fired(sim_.now(), ev.node, EventKind::kDelivery);
   }
@@ -149,7 +100,7 @@ void Transport::dispatch(const SimEvent& ev) {
   const NeighborView* back = graph_.find_neighbor(ev.node, ev.from);
   if (back == nullptr || back->since > ev.sent_at) {
     ++dropped_;
-    if (!inline_blob) arena_.release(ref);
+    arena_.release(ref);
     return;
   }
   ++delivered_;
@@ -162,23 +113,13 @@ void Transport::dispatch(const SimEvent& ev) {
     // Edge params are immutable after creation, so the receiver-known
     // transit floor can be re-read here instead of riding in every event.
     d.known_min_delay = back->params->msg_delay_min;
-    // Inline path: reconstitute the Payload from the kernel's staging slot
-    // into a stack object (trivially copyable, so the memcpy is the exact
-    // inverse of to_blob's; the bytes live on the handler's hot stack
-    // frame). Arena path: hand out a pointer into the arena — this event's
-    // own reference keeps the slot live until the release below, and arena
-    // slots are address-stable, so handlers may send new messages while
-    // reading this payload.
-    Payload staged;
-    if (inline_blob) {
-      std::memcpy(&staged, sim_.fired_blob().bytes, sizeof(Payload));
-      d.payload = &staged;
-    } else {
-      d.payload = arena_.peek(ref);
-    }
+    // This event's own reference keeps the slot live until the release
+    // below, and arena slots are address-stable, so handlers may send new
+    // messages while reading this payload.
+    d.payload = arena_.peek(ref);
     sink_->on_delivery(d);
   }
-  if (!inline_blob) arena_.release(ref);
+  arena_.release(ref);
 }
 
 }  // namespace gcs

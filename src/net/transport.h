@@ -12,9 +12,15 @@
 // the outbound hook instead of being scheduled here, and whoever carries it
 // brings it back in on the executing replica (inject_delivery on a shard,
 // the engine's DeliverySink at runtime).
+//
+// Every delivery scheduled here — unicast, fan-out or injected — keeps its
+// payload in the transport's MessageArena (net/arena.h): one slot per send
+// that schedules anything here, one reference per scheduled delivery,
+// released when that delivery fires or is dropped.
 #pragma once
 
 #include <functional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -88,26 +94,16 @@ class Transport {
   void clear_directional_delay(NodeId from, NodeId to);
 
   /// Send if the edge exists in the sender's view; returns false otherwise.
-  /// Unicasts take the inline-payload path: the 32 payload bytes ride in the
-  /// kernel's blob side array beside the event slot (no allocation, and the
-  /// MessageArena is not touched — only send_fanout at degree > 2 uses it).
-  bool send(NodeId from, NodeId to, Payload payload);
+  /// A one-entry send_fanout along the sender's view of the edge.
+  bool send(NodeId from, NodeId to, const Payload& payload);
 
-  /// Fan-out fast path: send along an entry of `from`'s own neighbor view
-  /// (skips the view lookup the caller has already done). Inline-payload
-  /// path, like send().
-  void send_via(NodeId from, const NeighborView& to, Payload&& payload);
-
-  /// Broadcast fast path for the engine's beacon duty. Degree-adaptive
-  /// (picked here, at send time): for fan-out degree <= 2 the payload rides
-  /// INLINE in the kernel's blob side array (one 32-byte copy per delivery —
-  /// cheaper than MessageArena bookkeeping on sparse topologies); for larger
-  /// degree ONE payload is moved into the arena and every scheduled delivery
-  /// references it (reclaimed when the last one fires or drops) — zero
-  /// per-edge payload construction. Behaviorally identical — including the
-  /// delay draws — to calling send_via for each entry of `views` in order.
-  void send_fanout(NodeId from, const std::vector<NeighborView>& views,
-                   Payload payload);
+  /// Send along every entry of `from`'s own neighbor view (the engine's
+  /// beacon duty; skips the view lookup the caller has already done). ONE
+  /// arena payload serves the whole fan-out, referenced once per delivery
+  /// scheduled here; outbound sends hold no reference. Delays are drawn in
+  /// view order, so the result equals one send() per entry.
+  void send_fanout(NodeId from, std::span<const NeighborView> views,
+                   const Payload& payload);
 
   /// Kernel callback for in-flight kDelivery events, reached through the
   /// registered dispatch channel (a direct call).

@@ -5,13 +5,11 @@
 // described by a compact 32-byte record instead of a type-erased closure, so
 // scheduling them allocates nothing. The record is the kernel's per-slot hot
 // storage, copied in and out as one aligned block; only the ordering
-// metadata, closures and inline payload blobs live in separate side arrays
-// — see the SoA slot layout in simulator.h. Wire payloads do not ride in the
-// record itself: small-fan-out deliveries park 32 opaque bytes in the
-// kernel's inline-blob side array (kEventFlagInlineBlob), and fan-out
-// deliveries keep them in the transport's generation-tagged message arena
-// (net/arena.h) with the record carrying an opaque 64-bit reference. The
-// kernel never interprets either, which is why this header does not depend
+// metadata and closures live in separate side arrays — see the SoA slot
+// layout in simulator.h. Wire payloads never ride in the record: every
+// delivery keeps its payload in the transport's generation-tagged message
+// arena (net/arena.h), and the record carries an opaque 64-bit reference.
+// The kernel never interprets it, which is why this header does not depend
 // on net/message.h.
 //
 // ## Dispatch channels
@@ -92,14 +90,6 @@ enum class EventKind : std::uint8_t {
 /// an owner before it registers. Never valid on a scheduled typed event.
 inline constexpr std::uint8_t kNoChannel = 0xFF;
 
-/// SimEvent::flags bit: the event carries a 32-byte inline payload blob in
-/// the kernel's blob side array instead of (or in addition to) payload_ref.
-/// The kernel copies the blob into a stable staging slot before dispatch
-/// (Simulator::fired_blob); it never interprets the bytes. The transport's
-/// degree-adaptive delivery path uses this for fan-out degree <= 2, where
-/// MessageArena bookkeeping costs more than the plain payload copy.
-inline constexpr std::uint8_t kEventFlagInlineBlob = 0x01;
-
 /// A scheduled event, as handed to Simulator::schedule_event_at and handed
 /// back to the owner at fire time. This IS the kernel's per-slot hot record:
 /// exactly 32 aligned bytes (half the old 64-byte record, which also dragged
@@ -115,7 +105,6 @@ inline constexpr std::uint8_t kEventFlagInlineBlob = 0x01;
 struct alignas(32) SimEvent {
   EventKind kind = EventKind::kClosure;
   std::uint8_t channel = kNoChannel;  ///< dispatch channel, or kNoChannel
-  std::uint8_t flags = 0;             ///< kEventFlag* bits (inline blob, ...)
   NodeId node = kNoNode;              ///< acted-on node (receiver for kDelivery)
   NodeId from = kNoNode;              ///< kDelivery: sender
   Time sent_at = 0.0;                 ///< kDelivery: send time

@@ -64,8 +64,6 @@ std::uint32_t Simulator::acquire_slot() {
   meta_.emplace_back();
   recs_.emplace_back();
   closures_.emplace_back();
-  // blobs_ is NOT grown here: zeroing 32 bytes per slot would tax every
-  // schedule; the blob overload below grows it on demand instead.
   return static_cast<std::uint32_t>(meta_.size() - 1);
 }
 
@@ -339,15 +337,6 @@ EventId Simulator::schedule_event_at(Time at, const SimEvent& ev) {
   return make_id(slot, meta_[slot].gen);
 }
 
-EventId Simulator::schedule_event_at(Time at, const SimEvent& ev,
-                                     const InlineBlob& blob) {
-  const EventId id = schedule_event_at(at, ev);
-  const std::uint32_t slot = static_cast<std::uint32_t>(id.value);
-  if (blobs_.size() <= slot) blobs_.resize(meta_.size());  // lazy, amortized
-  blobs_[slot] = blob;
-  return id;
-}
-
 EventId Simulator::schedule_at(Time at, Callback fn) {
   const EventId id = schedule_event_at(at, SimEvent{});
   // The slot index is the low EventId bits; park the callback beside it.
@@ -415,11 +404,6 @@ void Simulator::fire_entry(const HeapEntry& top) {
   // One aligned 32-byte copy out of the slot, so the handler may schedule
   // freely (growing recs_) without invalidating the record it was handed.
   const SimEvent ev = recs_[slot];
-  if (ev.flags & kEventFlagInlineBlob) {
-    // Stage the inline payload the same way: stable across re-entrant
-    // scheduling (handlers never re-enter the fire path).
-    fired_blob_ = blobs_[slot];
-  }
   if (ev.kind == EventKind::kClosure) {
     // Move the callback out before firing: the handler may schedule new
     // events, growing closures_ and invalidating references into it.

@@ -66,12 +66,10 @@
 //                 line per event and compiles to straight 16-byte block
 //                 copies (field-wise repacking measurably loses to this)
 //   closures_     out-of-line std::function, kClosure slots only
-//   blobs_        32 inline payload bytes, flagged typed events only
 //
 // The ordering key (16-byte HeapEntry) is what migrates between timer tiers;
-// slot data never moves after schedule time. Payload bytes reach the kernel
-// only as opaque inline blobs (see below); fan-out deliveries carry an
-// opaque arena reference instead (see net/arena.h).
+// slot data never moves after schedule time. Payload bytes never reach the
+// kernel: a delivery carries an opaque arena reference (see net/arena.h).
 //
 // ## Fire path: batch drain + devirtualized dispatch
 //
@@ -104,15 +102,6 @@
 //    those fire (in FIFO order among themselves) and the hooks run again
 //    before time advances — the instant closes only when no armed hook and
 //    no same-time event remains.
-//
-// ## Inline payload blobs
-//
-// Events flagged kEventFlagInlineBlob carry 32 opaque payload bytes in a
-// side array parallel to the slots (written at schedule, copied to a stable
-// staging buffer just before dispatch, readable via fired_blob() for the
-// duration of the dispatch call). The kernel never interprets the bytes;
-// the transport's degree-adaptive delivery path stores small-fan-out
-// payloads here so the send/fire round trip touches no MessageArena slot.
 #pragma once
 
 #include <bit>
@@ -132,12 +121,6 @@ struct EventId {
   std::uint64_t value = 0;
   [[nodiscard]] bool valid() const { return value != 0; }
   friend bool operator==(const EventId&, const EventId&) = default;
-};
-
-/// 32 opaque payload bytes riding beside an event slot (see the header
-/// comment, "Inline payload blobs"). Copyable as two 16-byte blocks.
-struct alignas(16) InlineBlob {
-  unsigned char bytes[32];
 };
 
 class Simulator {
@@ -192,19 +175,6 @@ class Simulator {
   EventId schedule_event_after(Duration delay, const SimEvent& ev) {
     return schedule_event_at(now_ + delay, ev);
   }
-  /// Schedule a typed event carrying 32 inline payload bytes (the caller's
-  /// `blob` is copied into the slot's blob side array; `ev.flags` must have
-  /// kEventFlagInlineBlob set). At fire time the blob is staged and exposed
-  /// through fired_blob() for the duration of the dispatch.
-  EventId schedule_event_at(Time at, const SimEvent& ev, const InlineBlob& blob);
-  EventId schedule_event_after(Duration delay, const SimEvent& ev,
-                               const InlineBlob& blob) {
-    return schedule_event_at(now_ + delay, ev, blob);
-  }
-  /// The staged inline blob of the event currently being dispatched. Valid
-  /// only inside the dispatch of an event flagged kEventFlagInlineBlob;
-  /// stable for the whole handler call (handlers may schedule freely).
-  [[nodiscard]] const InlineBlob& fired_blob() const { return fired_blob_; }
 
   /// Cancel a pending event. Returns false if already fired/cancelled.
   bool cancel(EventId id);
@@ -398,12 +368,10 @@ class Simulator {
   std::vector<SlotMeta> meta_;       ///< parallel to recs_/closures_
   std::vector<SimEvent> recs_;       ///< hot 32-byte event records by slot
   std::vector<Callback> closures_;   ///< kClosure callbacks, same slot index
-  std::vector<InlineBlob> blobs_;    ///< inline payload bytes, same slot index
   std::vector<std::uint32_t> free_slots_;
   std::vector<Channel> channels_;    ///< registered typed-event dispatchers
   std::vector<FlushHook> flush_hooks_;  ///< instant-flush hooks, registration order
   bool flush_armed_ = false;         ///< a hook deferred work this instant
-  InlineBlob fired_blob_{};          ///< staging for the dispatching event's blob
 };
 
 }  // namespace gcs

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "graph/dynamic_graph.h"
@@ -11,22 +13,25 @@
 namespace gcs {
 namespace {
 
+/// Nodes joined by edges with transit delays in [0.1, 0.5]; by default the
+/// line 0-1-2 plus an isolated node 3.
 struct Fixture : DeliverySink {
   Simulator sim;
-  DynamicGraph graph{sim, 4, 7};
+  DynamicGraph graph;
   Transport transport{sim, graph, 9};
   std::vector<Delivery> deliveries;
   std::vector<Payload> payloads;  ///< copied out: d.payload dies with the call
 
-  explicit Fixture(double delay_min = 0.1, double delay_max = 0.5) {
+  explicit Fixture(int n = 4,
+                   const std::vector<EdgeKey>& edges = {EdgeKey(0, 1), EdgeKey(1, 2)})
+      : graph(sim, n, 7) {
     graph.set_detection_delay_mode(DetectionDelayMode::kZero);
     EdgeParams p;
     p.eps = 0.1;
     p.tau = 0.2;
-    p.msg_delay_min = delay_min;
-    p.msg_delay_max = delay_max;
-    graph.create_edge_instant(EdgeKey(0, 1), p);
-    graph.create_edge_instant(EdgeKey(1, 2), p);
+    p.msg_delay_min = 0.1;
+    p.msg_delay_max = 0.5;
+    for (const EdgeKey& e : edges) graph.create_edge_instant(e, p);
     transport.set_sink(this);
   }
 
@@ -89,6 +94,7 @@ TEST(Transport, DropsWhenEdgeVanishesMidFlight) {
   Fixture f;
   f.transport.set_delay_mode(DelayMode::kMax);  // 0.5 transit
   EXPECT_TRUE(f.transport.send(0, 1, Beacon{}));
+  EXPECT_EQ(f.transport.arena().live(), 1u);  // the unicast holds one ref
   f.sim.run_until(0.1);
   f.graph.destroy_edge(EdgeKey(0, 1));
   f.sim.run();
@@ -164,7 +170,7 @@ TEST(Transport, PartialReplicaSendsLeaveThroughTheOutboundHook) {
     const std::vector<NeighborView>& views = f.graph.view_neighbors(1);
     EXPECT_TRUE(f.transport.send(1, 0, Beacon{0.0, 0.0}));
     f.transport.send_fanout(1, views, Beacon{1.0, 0.0});
-    f.transport.send_via(1, views.back(), Beacon{2.0, 0.0});
+    EXPECT_TRUE(f.transport.send(1, views.back().id, Beacon{2.0, 0.0}));
     EXPECT_TRUE(f.transport.send(1, 2, Beacon{3.0, 0.0}));
   };
   send_all(full);
@@ -202,6 +208,61 @@ TEST(Transport, PartialReplicaSendsLeaveThroughTheOutboundHook) {
   }
   part.sim.run();
   EXPECT_TRUE(part.deliveries.empty());
+}
+
+// A partial replica's fan-out puts ONE payload referenced by its local
+// deliveries only: the two outbound destinations hold no reference, so the
+// slot is reclaimed when the two local deliveries fire. Every destination,
+// local or outbound, gets the arrival a full replica draws for it.
+TEST(Transport, PartialReplicaFanoutHoldsOneRefPerLocalDelivery) {
+  const std::vector<EdgeKey> star{EdgeKey(0, 1), EdgeKey(0, 2), EdgeKey(0, 3),
+                                  EdgeKey(0, 4)};
+  Fixture full(5, star);
+  Fixture part(5, star);
+  const std::vector<std::uint8_t> executed{1, 1, 0, 1, 0};
+  part.transport.set_executed(&executed);
+  std::vector<std::pair<NodeId, Time>> out;
+  part.transport.set_outbound(
+      [&](NodeId, NodeId to, Time, Time arrival, const Payload&) {
+        out.emplace_back(to, arrival);
+      });
+  for (Fixture* f : {&full, &part}) {
+    f->sim.run_until(0.05);
+    ASSERT_EQ(f->graph.view_neighbors(0).size(), 4u);
+    f->transport.send_fanout(0, f->graph.view_neighbors(0), Beacon{6.0, 7.0, 8.0});
+  }
+  EXPECT_EQ(part.transport.arena().live(), 1u);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].first, 2);
+  EXPECT_EQ(out[1].first, 4);
+
+  part.sim.run();
+  ASSERT_EQ(part.deliveries.size(), 2u);
+  EXPECT_EQ(part.transport.arena().live(), 0u);
+  EXPECT_EQ(part.transport.sent_count(), 4u);
+  for (const Delivery& d : part.deliveries) out.emplace_back(d.to, d.delivered_at);
+
+  full.sim.run();
+  ASSERT_EQ(full.deliveries.size(), 4u);
+  for (const auto& [to, arrival] : out) {
+    const auto it = std::find_if(full.deliveries.begin(), full.deliveries.end(),
+                                 [to = to](const Delivery& d) { return d.to == to; });
+    ASSERT_NE(it, full.deliveries.end());
+    EXPECT_EQ(it->delivered_at, arrival) << "destination " << to;
+  }
+}
+
+// A delivery brought in from another replica holds one arena reference
+// until it fires at the given arrival time.
+TEST(Transport, InjectedDeliveryReleasesItsRefWhenItFires) {
+  Fixture f;
+  f.transport.inject_delivery(0, 1, 0.0, 0.3, Beacon{4.0, 5.0, 6.0});
+  EXPECT_EQ(f.transport.arena().live(), 1u);
+  f.sim.run();
+  ASSERT_EQ(f.deliveries.size(), 1u);
+  EXPECT_EQ(f.deliveries[0].delivered_at, 0.3);
+  EXPECT_EQ(std::get<Beacon>(f.payloads[0]).min_estimate, 6.0);
+  EXPECT_EQ(f.transport.arena().live(), 0u);
 }
 
 TEST(Transport, PartialReplicaWithoutOutboundHookRefusesToStart) {

@@ -467,7 +467,6 @@ TEST(MessageArena, GenerationTagGuardsSlotReuse) {
 }
 
 TEST(MessageArena, TransportFanoutReclaimsAfterLastInFlightDelivery) {
-  // Degree 3: above the inline-payload threshold, so the arena path runs.
   Simulator sim;
   DynamicGraph graph{sim, 4, 5};
   graph.set_detection_delay_mode(DetectionDelayMode::kZero);
@@ -496,10 +495,10 @@ TEST(MessageArena, TransportFanoutReclaimsAfterLastInFlightDelivery) {
   EXPECT_EQ(transport.arena().live(), 0u);  // last delivery reclaimed the slot
 }
 
-TEST(MessageArena, SmallFanoutBypassesArenaWithInlinePayload) {
-  // Degree <= 2 (and all send()/send_via() unicasts): the payload rides in
-  // the kernel's inline blob slot; the arena must stay untouched, and the
-  // delivered payload must be bit-identical to the sent one.
+TEST(MessageArena, DegreeTwoFanoutSharesOneSlotAndKeepsPayloadBits) {
+  // A sparse fan-out takes the same arena path as a dense one: one slot,
+  // reclaimed by the last delivery, and every delivered payload is
+  // bit-identical to the sent one.
   Simulator sim;
   DynamicGraph graph{sim, 3, 5};
   graph.set_detection_delay_mode(DetectionDelayMode::kZero);
@@ -515,7 +514,7 @@ TEST(MessageArena, SmallFanoutBypassesArenaWithInlinePayload) {
   FnSink sink([&](const Delivery& d) { seen.push_back(std::get<Beacon>(*d.payload)); });
   transport.set_sink(&sink);
   transport.send_fanout(0, graph.view_neighbors(0), Beacon{5.0, 7.0, -1.0});
-  EXPECT_EQ(transport.arena().live(), 0u);  // inline path: no arena slot
+  EXPECT_EQ(transport.arena().live(), 1u);
   sim.run();
   ASSERT_EQ(seen.size(), 2u);
   for (const Beacon& b : seen) {
