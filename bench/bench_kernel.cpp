@@ -190,6 +190,25 @@ void BM_DenseScenarioSimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseScenarioSimulation)->Arg(32)->Arg(64);
 
+/// Dense beacon traffic (complete graph, beacon estimates): every received
+/// beacon changes a discrete trigger input, so each delivery re-evaluates
+/// its receiver against n-1 peers. Most of those re-evaluations are settled
+/// by AoptNode's certified beacon bound instead of a full trigger scan.
+void BM_DenseBeaconScenarioSimulation(benchmark::State& state) {
+  const auto n = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    auto spec = kernel_spec(n);
+    spec.topology = ComponentSpec("complete");
+    spec.estimates = ComponentSpec("beacon");
+    Scenario s(spec);
+    s.start();
+    s.run_until(50.0);
+    benchmark::DoNotOptimize(s.sim().fired_count());
+  }
+  state.SetItemsProcessed(state.iterations() * n * 50);
+}
+BENCHMARK(BM_DenseBeaconScenarioSimulation)->Arg(32)->Arg(64);
+
 /// Shared-instant stress for the coalesced drain: zero minimum delay with
 /// pinned-minimum draws lands every beacon reception on its send instant,
 /// so each broadcast forms one multi-event instant group.

@@ -1,11 +1,26 @@
 #include "core/aopt_node.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/algo_registry.h"
 #include "util/log.h"
 
 namespace gcs {
+
+namespace {
+
+/// Levels above this share the last per-level counter bucket.
+constexpr int kCountedLevels = 16;
+
+AoptNode::LevelDecisions& at_level(std::vector<AoptNode::LevelDecisions>& by_level,
+                                   int s) {
+  const auto i = static_cast<std::size_t>(std::min(s, kCountedLevels));
+  if (by_level.size() <= i) by_level.resize(i + 1);
+  return by_level[i];
+}
+
+}  // namespace
 
 double AoptNode::PeerInfo::insertion_time(int s) const {
   require(s >= 1, "PeerInfo::insertion_time: s >= 1");
@@ -240,6 +255,7 @@ void AoptNode::report_trigger_conflict() {
 }
 
 void AoptNode::rebuild_hot(ClockValue own) {
+  BeaconEstimateSource* const beacon = api_->beacon_source();
   hot_.clear();
   level_peers_.clear();
   for (std::size_t i = 0; i < peers_.size(); ++i) {
@@ -250,6 +266,7 @@ void AoptNode::rebuild_hot(ClockValue own) {
     h.id = p.id;
     h.peer_index = static_cast<int>(i);
     h.level_next = ls.next;
+    if (beacon != nullptr) h.has_entry = beacon->snapshot(api_->id(), p.id, h.entry);
     LevelPeer lp;
     lp.level_limit = ls.limit;
     lp.kappa = p.kappa;  // weight decay refreshes this per scan
@@ -263,18 +280,54 @@ void AoptNode::rebuild_hot(ClockValue own) {
 }
 
 void AoptNode::on_estimate_dirty(NodeId peer) {
-  if (hot_dirty_) return;  // the pending rebuild drops every snapshot anyway
-  for (HotPeer& h : hot_) {
-    if (h.id == peer) {
-      h.est_cached = false;
-      return;
-    }
+  // Other estimate sources are read afresh by every scan, and the pending
+  // rebuild of a dirty mirror fetches every snapshot itself.
+  BeaconEstimateSource* const beacon = api_->beacon_source();
+  if (beacon == nullptr || hot_dirty_) return;
+  const auto it = std::lower_bound(
+      hot_.begin(), hot_.end(), peer,
+      [](const HotPeer& h, NodeId id) { return h.id < id; });
+  if (it == hot_.end() || it->id != peer) return;
+  // The engine calls this after the estimate layer consumed the beacon, and
+  // an entry changes only on a beacon (which lands here) or an edge loss
+  // (which sets hot_dirty_), so the cached snapshot stays current.
+  HotPeer& h = *it;
+  h.has_entry = beacon->snapshot(api_->id(), peer, h.entry);
+  const auto i = static_cast<std::size_t>(it - hot_.begin());
+  if (h.has_entry && level_peers_[i].level_limit >= 1) {
+    bound_.widen(h.entry.base, h.entry.recv_hw);
   }
 }
 
-void AoptNode::reevaluate() {
-  const ClockValue own = api_->logical();
+bool AoptNode::bound_settles(ClockValue own) const {
+  // The bound covers exactly the level-(>=1) peers of the last scan, so it
+  // applies only while that set and its aggregates are current: no
+  // membership change, no level threshold crossed, no clock regression, and
+  // κ constant (weight decay changes it every scan).
+  if (api_->beacon_source() == nullptr || hot_dirty_ || own < last_own_ ||
+      own >= level_next_min_ || params_.insertion == InsertionPolicy::kWeightDecay) {
+    return false;
+  }
+  const ClockValue own_hw = api_->own_hardware_value();
+  const double bound = bound_.bound(own_hw, own);
+  if (!triggers_quick_reject(agg_, bound)) return false;
+#ifndef NDEBUG
+  // Shadow check: the exact max_abs the scan would compute, from the
+  // cached snapshots (a pure read), must be rejected too.
+  double exact = 0.0;
+  for (std::size_t i = 0; i < hot_.size(); ++i) {
+    const HotPeer& h = hot_[i];
+    if (level_peers_[i].level_limit < 1 || !h.has_entry) continue;
+    const double est = h.entry.base + (own_hw - h.entry.recv_hw);
+    exact = std::max(exact, std::fabs(est - own));
+  }
+  require(exact <= bound && triggers_quick_reject(agg_, exact),
+          "AoptNode: certified beacon bound below the exact discrepancy");
+#endif
+  return true;
+}
 
+void AoptNode::scan_triggers(ClockValue own) {
   // Incremental scan (see the HotPeer comment in the header): membership and
   // per-edge constants come from the cached mirror; levels refresh only at
   // their precomputed thresholds; estimates are evaluated fresh — they move
@@ -295,6 +348,8 @@ void AoptNode::reevaluate() {
   const ClockValue own_hw = beacon != nullptr ? api_->own_hardware_value() : 0.0;
   const std::size_t count = hot_.size();
   double max_abs = 0.0;
+  double next_min = kTimeInf;
+  BeaconBound bound;
   for (std::size_t i = 0; i < count; ++i) {
     HotPeer& h = hot_[i];
     LevelPeer& lp = level_peers_[i];
@@ -304,6 +359,7 @@ void AoptNode::reevaluate() {
       lp.level_limit = ls.limit;
       h.level_next = ls.next;
     }
+    next_min = h.level_next < next_min ? h.level_next : next_min;
     if (lp.level_limit < 1) {
       // Discovery-set-only edges play no trigger role; their estimate is
       // not read (keeps the oracle draws identical to the full scan).
@@ -319,12 +375,11 @@ void AoptNode::reevaluate() {
       est = oracle->perturb(api_->id(), h.id, api_->peer_true_logical(h.id), own, lp.eps);
       have = true;
     } else if (beacon != nullptr) {
-      if (!h.est_cached) {
-        h.has_entry = beacon->snapshot(api_->id(), h.id, h.entry);
-        h.est_cached = true;
-      }
       have = h.has_entry;
-      if (have) est = h.entry.base + (own_hw - h.entry.recv_hw);
+      if (have) {
+        est = h.entry.base + (own_hw - h.entry.recv_hw);
+        bound.widen(h.entry.base, h.entry.recv_hw);
+      }
     } else {
       const auto opt = api_->neighbor_estimate_present(h.id, lp.eps);
       have = opt.has_value();
@@ -337,14 +392,29 @@ void AoptNode::reevaluate() {
       max_abs = abs_d > max_abs ? abs_d : max_abs;
     }
   }
+  level_next_min_ = next_min;
+  bound_ = bound;
   if (agg_stale || decay) {
     agg_ = compute_trigger_aggregates(level_peers_.data(), count);
   }
 
   last_decision_ = evaluate_triggers(level_peers_.data(), count, agg_, max_abs,
                                      params_.mu, params_.rho, params_.level_cap);
+  if (last_decision_.fast) ++at_level(decisions_, last_decision_.fast_level).fast;
+  if (last_decision_.slow) ++at_level(decisions_, last_decision_.slow_level).slow;
   if (last_decision_.fast && last_decision_.slow) [[unlikely]] {
     report_trigger_conflict();
+  }
+}
+
+void AoptNode::reevaluate() {
+  const ClockValue own = api_->logical();
+  if (bound_settles(own)) {
+    last_own_ = own;
+    last_decision_ = TriggerDecision{};
+    ++bound_settled_;
+  } else {
+    scan_triggers(own);
   }
 
   // Listing 3.

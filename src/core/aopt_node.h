@@ -51,6 +51,20 @@ class AoptNode final : public Algorithm {
   [[nodiscard]] std::optional<PeerInfo> peer_info(NodeId peer) const;
 
   [[nodiscard]] long long mode_switches() const { return mode_switches_; }
+  /// Gradient-trigger decisions at one witness level.
+  struct LevelDecisions {
+    long long fast = 0;
+    long long slow = 0;
+  };
+  /// Element s counts the re-evaluations whose fast (slow) trigger fired
+  /// with witness level s; element 0 stays zero and the last element also
+  /// counts every level above it. Empty until the first decision. Pure
+  /// counters: they never feed the run.
+  [[nodiscard]] const std::vector<LevelDecisions>& decisions_by_level() const {
+    return decisions_;
+  }
+  /// Re-evaluations the certified beacon bound settled without a scan.
+  [[nodiscard]] long long bound_settled() const { return bound_settled_; }
   [[nodiscard]] bool last_fast_trigger() const { return last_decision_.fast; }
   [[nodiscard]] bool last_slow_trigger() const { return last_decision_.slow; }
   [[nodiscard]] const TriggerDecision& last_decision() const { return last_decision_; }
@@ -91,8 +105,10 @@ class AoptNode final : public Algorithm {
   ///     level_next (the exact next T_s threshold), which reproduces the
   ///     full recomputation bit-for-bit because limits are piecewise
   ///     constant in own-logical time;
-  ///   - beacon estimate snapshots: re-fetched only after on_estimate_dirty
-  ///     (the engine's dirty-peer notification on beacon consumption);
+  ///   - beacon estimate snapshots: fetched by the rebuild, then re-fetched
+  ///     by on_estimate_dirty (the engine's dirty-peer notification on
+  ///     beacon consumption), which finds the peer by binary search (hot_
+  ///     is id-sorted);
   ///   - κ and the structural trigger aggregates: constant per edge except
   ///     under weight decay, which downgrades to per-scan recomputation.
   /// Estimates themselves are still *evaluated* every scan (they move
@@ -100,12 +116,19 @@ class AoptNode final : public Algorithm {
   /// (NodeApi::peer_true_logical + OracleEstimateSource::perturb, or the
   /// cached beacon snapshot), reading/drawing exactly what the virtual
   /// estimate path would.
+  ///
+  /// Beacon mode can skip the scan altogether. There every discrepancy is
+  /// est − own = c_i + d with a per-peer constant c_i = base_i − recv_hw_i
+  /// and a per-node term d = H_u − L_u, so bound_ (a BeaconBound over the
+  /// level-(>=1) peers with a snapshot) bounds max_abs in O(1). A full scan
+  /// sets it exactly; on_estimate_dirty only widens it. When
+  /// triggers_quick_reject holds at that bound it holds at the exact
+  /// max_abs too, and the decision is {} (bound_settles).
   struct HotPeer {
     NodeId id = kNoNode;
     int peer_index = 0;            ///< into peers_ (stable since last rebuild)
     double level_next = kTimeInf;  ///< own-logical threshold to refresh level
     BeaconEstimateSource::Entry entry;  ///< cached beacon snapshot
-    bool est_cached = false;       ///< snapshot valid (beacon mode only)
     bool has_entry = false;        ///< snapshot exists (beacon mode only)
   };
   /// level_limit plus the own-logical threshold at which the cached value
@@ -138,6 +161,11 @@ class AoptNode final : public Algorithm {
   [[nodiscard]] double current_kappa(const Peer& p, ClockValue own_logical) const;
   /// Rebuild hot_/level_peers_ from the present peers (membership changed).
   void rebuild_hot(ClockValue own);
+  /// True when the beacon bound proves that no trigger fires at `own`
+  /// without a scan (see HotPeer); false whenever a precondition fails.
+  [[nodiscard]] bool bound_settles(ClockValue own) const;
+  /// The full incremental scan: refreshes every input and decides.
+  void scan_triggers(ClockValue own);
   /// Lemma 5.3 violation reporting, off the reevaluate hot path (the log
   /// machinery would otherwise bloat its stack frame).
   [[gnu::cold]] [[gnu::noinline]] void report_trigger_conflict();
@@ -147,11 +175,15 @@ class AoptNode final : public Algorithm {
   std::vector<HotPeer> hot_;         ///< present peers, scan order (= id order)
   std::vector<LevelPeer> level_peers_;  ///< parallel to hot_
   TriggerAggregates agg_;            ///< cached structural fold over level_peers_
+  BeaconBound bound_;                ///< beacon mode: see the HotPeer comment
+  double level_next_min_ = kTimeInf;  ///< min level_next over hot_ at the last scan
   bool hot_dirty_ = true;            ///< membership/handshake changed
+  bool saw_conflict_ = false;
   ClockValue last_own_ = -kTimeInf;  ///< guards against logical-clock regression
   TriggerDecision last_decision_;
   long long mode_switches_ = 0;
-  bool saw_conflict_ = false;
+  std::vector<LevelDecisions> decisions_;
+  long long bound_settled_ = 0;
 };
 
 }  // namespace gcs

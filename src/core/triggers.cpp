@@ -22,20 +22,20 @@ TriggerAggregates compute_trigger_aggregates(const LevelPeer* peers,
 TriggerDecision evaluate_triggers(const LevelPeer* peers, std::size_t count,
                                   const TriggerAggregates& agg, double max_abs,
                                   double mu, double rho, int level_cap) {
-  if (!agg.any || agg.kappa_min <= 0.0) return TriggerDecision{};
-
-  const double ratio = (max_abs + agg.max_eps + agg.max_delta) / agg.kappa_min;
-  // Quick rejection, the steady-state common case: with
-  // max_abs + max ε + max δ < κ_min, no peer can satisfy either existential
-  // condition at any level s >= 1 —
+  // Quick rejection (triggers_quick_reject), the steady-state common case:
+  // with max_abs + max ε + max δ < κ_min, no peer can satisfy either
+  // existential condition at any level s >= 1 —
   //   ahead  <= max_abs < κ_min − max ε − max δ <= s·κ_e − ε_e, and
   //   behind <= max_abs < κ_min − max ε − max δ <= (s+0.5)·κ_e − δ_e − ε_e —
   // and without an existential witness neither trigger fires regardless of
   // the blocking clauses, so the per-level scan would find nothing. The
   // threshold keeps a 1e-9 relative margin so the handful of roundings in
-  // `ratio` can never disagree with the scan's own rounded comparisons;
-  // ratios inside the margin just take the full scan.
-  if (ratio < 1.0 - 1e-9) return TriggerDecision{};
+  // the ratio can never disagree with the scan's own rounded comparisons;
+  // ratios inside the margin just take the full scan. Every step of the
+  // ratio (two additions, a division by κ_min > 0) is monotone under
+  // round-to-nearest, so the test is monotone in max_abs.
+  if (triggers_quick_reject(agg, max_abs)) return TriggerDecision{};
+  const double ratio = (max_abs + agg.max_eps + agg.max_delta) / agg.kappa_min;
   // floor() via integer truncation: the ratio is non-negative, where the two
   // agree — and std::floor is a libm CALL at baseline x86-64, once per
   // re-evaluation. Huge ratios (corrupt clocks) saturate to level_cap.

@@ -21,12 +21,20 @@
 //
 // Both feed the data-driven level bound: beyond s with s·κ_min exceeding
 // max_abs + max ε + max δ, neither existential condition can hold, so the
-// per-level loop terminates after O(discrepancy/κ) levels. Entries with
-// level_limit < 1 may be present in the array; they are inert in every
-// condition (membership tests are `level_limit >= s`) and must carry
-// has_estimate = false only if their estimate was genuinely not read.
+// per-level loop terminates after O(discrepancy/κ) levels. The same fold is
+// the quick rejection (triggers_quick_reject), which evaluate_triggers
+// applies first. It is monotone in max_abs: a caller holding any upper
+// bound on max_abs for which it rejects knows evaluate_triggers returns {}
+// without computing max_abs — AoptNode's beacon fast path rests on this
+// (BeaconBound below supplies that upper bound).
+//
+// Entries with level_limit < 1 may be present in the array; they are inert
+// in every condition (membership tests are `level_limit >= s`) and must
+// carry has_estimate = false only if their estimate was genuinely not read.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "util/common.h"
@@ -63,6 +71,52 @@ struct TriggerAggregates {
 /// One-pass computation of the aggregates (reference for cached callers).
 TriggerAggregates compute_trigger_aggregates(const LevelPeer* peers,
                                              std::size_t count);
+
+/// True when no trigger can fire at any level s >= 1 given the aggregates
+/// and max_abs (see the proof in triggers.cpp): evaluate_triggers then
+/// returns {}. Monotone in max_abs — if it holds for some b, it holds for
+/// every max_abs <= b — and false for a NaN max_abs.
+inline bool triggers_quick_reject(const TriggerAggregates& agg, double max_abs) {
+  if (!agg.any || agg.kappa_min <= 0.0) return true;
+  return (max_abs + agg.max_eps + agg.max_delta) / agg.kappa_min < 1.0 - 1e-9;
+}
+
+/// Certified upper bound on max_abs for beacon estimates, maintained in O(1)
+/// per update. A beacon estimate's discrepancy is
+///   est − own = (base_i − recv_hw_i) + (H_u − L_u) = c_i + d,
+/// a per-peer constant plus a per-node term. Over the peers added with
+/// widen(): c_hi >= max c_i, c_lo <= min c_i, mag >= max(|base_i| + |recv_hw_i|).
+/// Widening with an extra or a replaced peer keeps the bound sound; it is
+/// then merely looser.
+struct BeaconBound {
+  double c_hi = -kTimeInf;
+  double c_lo = kTimeInf;
+  double mag = 0.0;
+
+  void widen(double base, double recv_hw) {
+    const double c = base - recv_hw;
+    c_hi = std::max(c_hi, c);
+    c_lo = std::min(c_lo, c);
+    mag = std::max(mag, std::fabs(base) + std::fabs(recv_hw));
+  }
+
+  /// An upper bound on |fl(fl(base_i + fl(own_hw − recv_hw_i)) − own)| —
+  /// the scan's rounded discrepancy — for every widened peer; 0 plus slack
+  /// when none was. +inf when own_hw − own is not finite.
+  [[nodiscard]] double bound(double own_hw, double own) const {
+    const double d = own_hw - own;
+    if (!std::isfinite(d)) return kTimeInf;
+    // The bound's own expression fl(fl(base − recv_hw) + fl(H − L)) is
+    // monotone in c_i, so max(0, c_hi + d, −(c_lo + d)) bounds it for every
+    // peer. With u = 2⁻⁵³ and M = mag + |H| + |L|, each of the 3 + 3
+    // roundings of the two expressions moves its result by at most
+    // u·M(1 + O(u)), so they differ by at most 5u·M, and adding the slack
+    // loses at most another u·M: under 7u·M ≈ 7.8e-16·M in all. The slack
+    // 1e-12·(M + 1) covers that more than 1000-fold, after its own roundings.
+    const double slack = 1e-12 * (mag + std::fabs(own_hw) + std::fabs(own) + 1.0);
+    return std::max({0.0, c_hi + d, -(c_lo + d)}) + slack;
+  }
+};
 
 struct TriggerDecision {
   bool fast = false;

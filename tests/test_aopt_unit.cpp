@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "metrics/fingerprint.h"
 #include "runner/scenario.h"
 
 namespace gcs {
@@ -91,6 +92,109 @@ TEST(AoptUnit, ModeSwitchCounterAdvances) {
   long long total = 0;
   for (NodeId u = 0; u < 4; ++u) total += s.aopt(u).mode_switches();
   EXPECT_GT(total, 0);
+}
+
+TEST(AoptUnit, BeaconTriggersFireAroundTheCertifiedBound) {
+  // Beacon estimates on a complete graph: once the run settles, the bound
+  // fast path decides most re-evaluations. Node 0 is then pushed 3κ ahead
+  // and node 1 3κ behind, so both gradient triggers must fire, at levels
+  // >= 2 too. The pinned hash and event count were recorded on the tree
+  // before the fast path existed: taking it changes no trajectory bit.
+  ScenarioSpec cfg;
+  cfg.n = 8;
+  cfg.topology = ComponentSpec("complete");
+  cfg.edge_params = default_edge_params(0.05, 0.25, 0.5, 0.1);
+  cfg.aopt.rho = 1e-3;
+  cfg.aopt.mu = 0.1;
+  cfg.gtilde_auto = true;
+  cfg.drift = ComponentSpec("spread");
+  cfg.estimates = ComponentSpec("beacon");
+  cfg.seed = 22;
+  Scenario s(cfg);
+  long long settled_before = 0;
+  s.sim().schedule_at(40.0, [&s, &settled_before] {
+    for (NodeId u = 0; u < 8; ++u) settled_before += s.aopt(u).bound_settled();
+    const double kappa = s.aopt(0).peer_info(1)->kappa;
+    s.engine().corrupt_logical(0, s.engine().logical(0) + 3.0 * kappa);
+    s.engine().corrupt_logical(1, s.engine().logical(1) - 3.0 * kappa);
+  });
+  const FingerprintResult r = fingerprint_run(s, 80.0);
+  EXPECT_EQ(r.hash, 0xbce7a34e5693d5acULL);
+  EXPECT_EQ(r.events, 23031u);
+
+  EXPECT_GT(settled_before, 0);
+  long long fast = 0;
+  long long slow = 0;
+  long long fast_high = 0;
+  long long slow_high = 0;
+  for (NodeId u = 0; u < 8; ++u) {
+    const auto& by_level = s.aopt(u).decisions_by_level();
+    for (std::size_t level = 0; level < by_level.size(); ++level) {
+      if (level == 0) {  // levels start at 1
+        EXPECT_EQ(by_level[0].fast, 0);
+        EXPECT_EQ(by_level[0].slow, 0);
+      }
+      fast += by_level[level].fast;
+      slow += by_level[level].slow;
+      if (level >= 2) {
+        fast_high += by_level[level].fast;
+        slow_high += by_level[level].slow;
+      }
+    }
+    EXPECT_FALSE(s.aopt(u).saw_trigger_conflict());
+  }
+  EXPECT_GT(fast, 0);
+  EXPECT_GT(slow, 0);
+  EXPECT_GT(fast_high, 0);
+  EXPECT_GT(slow_high, 0);
+}
+
+TEST(AoptUnit, BeaconLevelCrossingReachesTheTriggers) {
+  // An inserted edge joins level 1 when the own logical clock passes T0;
+  // no event marks that instant. Node 2 is far behind when its edge to
+  // node 0 is inserted, so node 0's slow trigger must fire once L_0 passes
+  // T0: the certified bound may not settle re-evaluations across a level
+  // threshold, where the set of peers it covers changes.
+  auto cfg = tiny(3);
+  cfg.explicit_edges = {EdgeKey(0, 1)};
+  cfg.aopt.gtilde_static = 1.0;
+  cfg.estimates = ComponentSpec("beacon");
+  Scenario s(cfg);
+  s.start();
+  s.run_until(10.0);
+  const double kappa = s.aopt(0).peer_info(1)->kappa;
+  s.engine().corrupt_logical(2, s.engine().logical(2) - 40.0 * kappa);
+  s.graph().create_edge(EdgeKey(0, 2), cfg.edge_params);
+  s.run_until(20.0);
+  const auto info = s.aopt(0).peer_info(2);
+  ASSERT_TRUE(info.has_value());
+  ASSERT_LT(info->t0, kTimeInf);
+  s.run_until(info->t0 - 10.0);  // L_0 >= t (rates are >= 1); checked next
+  ASSERT_LT(s.engine().logical(0), info->t0);
+  EXPECT_TRUE(s.aopt(0).decisions_by_level().empty());
+  EXPECT_GT(s.aopt(0).bound_settled(), 0);
+  s.run_until(info->t0 + 10.0);
+  long long slow = 0;
+  for (const auto& at : s.aopt(0).decisions_by_level()) slow += at.slow;
+  EXPECT_GT(slow, 0);
+}
+
+TEST(AoptUnit, BoundSettledOnlyUnderBeaconEstimates) {
+  // The oracle path keeps the full scan: reading a peer's true clock
+  // advances its lazy state, so no re-evaluation may skip it.
+  auto cfg = tiny(4);
+  cfg.estimates = ComponentSpec("uniform");
+  Scenario oracle(cfg);
+  oracle.start();
+  oracle.run_until(60.0);
+  cfg.estimates = ComponentSpec("beacon");
+  Scenario beacon(cfg);
+  beacon.start();
+  beacon.run_until(60.0);
+  for (NodeId u = 0; u < 4; ++u) {
+    EXPECT_EQ(oracle.aopt(u).bound_settled(), 0);
+    EXPECT_GT(beacon.aopt(u).bound_settled(), 0);
+  }
 }
 
 TEST(AoptUnit, InsertEdgeMsgFromStrangerIsIgnored) {

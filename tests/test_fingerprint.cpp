@@ -15,7 +15,9 @@
 // Localizing a mismatch: the per-row failure message prints how to dump the
 // row's full event sequence (DISABLED_DumpEvents, one `hexfloat-time node
 // kind` line per fired event) at two commits and diff the dumps; the first
-// hunk is the first divergent event.
+// hunk is the first divergent event. The dump also prints the row's
+// gradient-trigger counters: fast and slow decisions by level, and the
+// re-evaluations the beacon bound settled without a scan.
 //
 // Regeneration: GCS_REGEN_FINGERPRINTS=1 rewrites the table from the
 // in-code catalog (scripts/regen_fingerprints.sh wraps this, checks
@@ -231,14 +233,46 @@ struct EventLog final : public KernelTraceSink {
   }
 };
 
+/// The run's gradient-trigger counters summed over its AOPT nodes, as
+/// `fast{level:count,...} slow{...} bound_settled=N`. Reading them after
+/// the run cannot change it, and they never feed the run either.
+std::string trigger_counts(Scenario& scenario) {
+  std::vector<AoptNode::LevelDecisions> sum;
+  long long settled = 0;
+  for (NodeId u = 0; u < scenario.engine().size(); ++u) {
+    const auto* aopt = dynamic_cast<const AoptNode*>(&scenario.engine().algorithm(u));
+    if (aopt == nullptr) continue;
+    const auto& by_level = aopt->decisions_by_level();
+    if (sum.size() < by_level.size()) sum.resize(by_level.size());
+    for (std::size_t s = 0; s < by_level.size(); ++s) {
+      sum[s].fast += by_level[s].fast;
+      sum[s].slow += by_level[s].slow;
+    }
+    settled += aopt->bound_settled();
+  }
+  const auto render = [&sum](long long AoptNode::LevelDecisions::*kind) {
+    std::string out = "{";
+    for (std::size_t s = 1; s < sum.size(); ++s) {
+      if (sum[s].*kind == 0) continue;
+      if (out.size() > 1) out += ',';
+      out += std::to_string(s) + ':' + std::to_string(sum[s].*kind);
+    }
+    return out + '}';
+  };
+  return "fast" + render(&AoptNode::LevelDecisions::fast) + " slow" +
+         render(&AoptNode::LevelDecisions::slow) + " bound_settled=" + std::to_string(settled);
+}
+
 /// fptable::run_case for a sim row, with `log` chained behind the
 /// fingerprinter (the chained sink observes; it cannot change the run).
-FingerprintResult run_logged(const Case& c, EventLog& log) {
+/// `counts`, if set, receives the run's trigger_counts.
+FingerprintResult run_logged(const Case& c, EventLog& log, std::string* counts = nullptr) {
   Scenario scenario(c.spec);
   TrajectoryFingerprinter fp;
   fp.attach(scenario, &log);
   scenario.start();
   scenario.run_until(c.horizon);
+  if (counts != nullptr) *counts = trigger_counts(scenario);
   return FingerprintResult{fp.value(), fp.events()};
 }
 
@@ -297,9 +331,11 @@ TEST_P(PinnedFingerprint, DISABLED_DumpEvents) {
   ASSERT_TRUE(f.good()) << "cannot write " << events_file(row);
   EventLog log;
   log.out = &f;
-  const FingerprintResult result = run_logged(fptable::case_from_row(row), log);
+  std::string counts;
+  const FingerprintResult result = run_logged(fptable::case_from_row(row), log, &counts);
   std::cout << "wrote " << result.events << " events to " << events_file(row)
-            << " (hash " << std::hex << result.hash << std::dec << ")\n";
+            << " (hash " << std::hex << result.hash << std::dec << ")\n"
+            << "triggers: " << counts << "\n";
 }
 
 INSTANTIATE_TEST_SUITE_P(Table, PinnedFingerprint,

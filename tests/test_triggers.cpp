@@ -269,5 +269,119 @@ TEST(Triggers, DataDrivenScanMatchesDeepScan) {
   }
 }
 
+// ------------------------------------------- quick rejection and the bound
+
+TEST(Triggers, QuickRejectIsMonotoneInMaxAbs) {
+  Rng rng(2201);
+  for (int iteration = 0; iteration < 100000; ++iteration) {
+    TriggerAggregates agg;
+    agg.any = rng.chance(0.95);
+    agg.kappa_min = rng.chance(0.02) ? 0.0 : rng.uniform(0.05, 5.0);
+    agg.max_eps = rng.uniform(0.0, 0.3 * agg.kappa_min);
+    agg.max_delta = rng.uniform(0.0, 0.3 * agg.kappa_min);
+    // Concentrate on the threshold, where roundings decide.
+    const double edge = agg.kappa_min * (1.0 - 1e-9) - agg.max_eps - agg.max_delta;
+    const double a = std::max(0.0, edge + rng.uniform(-1e-9, 1e-9) * agg.kappa_min);
+    const double b = rng.chance(0.5) ? std::nextafter(a, kTimeInf)
+                                     : a + rng.uniform(0.0, 1e-8) * agg.kappa_min;
+    if (triggers_quick_reject(agg, b)) {
+      ASSERT_TRUE(triggers_quick_reject(agg, a)) << "iteration " << iteration;
+    }
+  }
+  TriggerAggregates agg;
+  agg.any = true;
+  agg.kappa_min = 1.0;
+  EXPECT_TRUE(triggers_quick_reject(agg, 0.5));
+  EXPECT_FALSE(triggers_quick_reject(agg, std::nan("")));
+  EXPECT_FALSE(triggers_quick_reject(agg, kTimeInf));
+}
+
+TEST(Triggers, QuickRejectionMeansNoTriggerAtAnyLevel) {
+  // Whenever the quick rejection holds for the exact max_abs, the literal
+  // per-level scan finds nothing either, and evaluate_triggers says so.
+  Rng rng(2202);
+  AlgoParams ap;
+  ap.rho = kRho;
+  ap.mu = kMu;
+  int rejected = 0;
+  for (int iteration = 0; iteration < 20000; ++iteration) {
+    std::vector<LevelPeer> peers;
+    const int count = static_cast<int>(rng.below(7));
+    for (int i = 0; i < count; ++i) {
+      EdgeParams ep;
+      ep.eps = rng.uniform(0.05, 0.3);
+      ep.tau = rng.uniform(0.0, 1.0);
+      const EdgeConstants ec = ap.edge_constants(ep);
+      LevelPeer p;
+      p.level_limit = rng.chance(0.1)   ? 0
+                      : rng.chance(0.5) ? static_cast<int>(rng.between(1, 9))
+                                        : kAllLevels;
+      p.kappa = ec.kappa;
+      p.delta = ec.delta;
+      p.eps = ep.eps;
+      p.tau = ep.tau;
+      p.has_estimate = rng.chance(0.9);
+      p.est_minus_own = rng.uniform(-0.5, 0.5) * ec.kappa;
+      peers.push_back(p);
+    }
+    const TriggerAggregates agg = compute_trigger_aggregates(peers.data(), peers.size());
+    double max_abs = 0.0;
+    for (const LevelPeer& p : peers) {
+      if (p.level_limit >= 1 && p.has_estimate) {
+        max_abs = std::max(max_abs, std::fabs(p.est_minus_own));
+      }
+    }
+    if (!triggers_quick_reject(agg, max_abs)) continue;
+    ++rejected;
+    const auto got = evaluate_triggers(peers.data(), peers.size(), agg, max_abs,
+                                       kMu, kRho, kCap);
+    const auto want = literal_triggers(peers, kCap);
+    ASSERT_FALSE(got.fast || got.slow) << "iteration " << iteration;
+    ASSERT_FALSE(want.fast || want.slow) << "iteration " << iteration;
+  }
+  EXPECT_GT(rejected, 1000);  // the property was exercised
+}
+
+TEST(Triggers, BeaconBoundCoversTheScanDiscrepancy) {
+  // AoptNode's scan computes each beacon discrepancy as
+  // fl(fl(base + fl(H − recv_hw)) − L); BeaconBound must bound every one of
+  // them, including at 1e9 magnitudes where the terms nearly cancel.
+  Rng rng(2203);
+  for (int iteration = 0; iteration < 100000; ++iteration) {
+    const double scale = std::pow(10.0, rng.uniform(0.0, 9.0));
+    const double t = rng.uniform(0.0, scale);  // the common clock reading
+    const double spread = std::pow(10.0, rng.uniform(-12.0, 2.0));
+    const bool cancel = rng.chance(0.8);
+    const auto near = [&](double sign) {
+      return cancel ? t + rng.uniform(-spread, spread)
+                    : sign * rng.uniform(0.0, scale);
+    };
+    const double own_hw = near(1.0);
+    const double own = near(rng.chance(0.5) ? 1.0 : -1.0);
+    BeaconBound bound;
+    std::vector<std::pair<double, double>> entries;
+    const int count = static_cast<int>(rng.between(0, 8));
+    for (int i = 0; i < count; ++i) {
+      const double base = near(rng.chance(0.5) ? 1.0 : -1.0);
+      const double recv_hw = near(1.0);
+      bound.widen(base, recv_hw);
+      entries.emplace_back(base, recv_hw);
+    }
+    const double b = bound.bound(own_hw, own);
+    ASSERT_GE(b, 0.0);
+    for (const auto& [base, recv_hw] : entries) {
+      const double est = base + (own_hw - recv_hw);
+      const double scan = std::fabs(est - own);
+      ASSERT_GE(b, scan) << "iteration " << iteration << std::hexfloat << " base "
+                         << base << " recv_hw " << recv_hw << " H " << own_hw
+                         << " L " << own;
+    }
+  }
+  // Nothing widened: only the slack remains; a non-finite H − L disables it.
+  const BeaconBound empty;
+  EXPECT_LT(empty.bound(5.0, 5.0), 1e-9);
+  EXPECT_EQ(BeaconBound{}.bound(kTimeInf, 0.0), kTimeInf);
+}
+
 }  // namespace
 }  // namespace gcs
