@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,6 +16,8 @@
 #include "runner/island_runner.h"
 #include "runner/scenario.h"
 #include "runner/sweep.h"
+#include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace gcs {
 namespace {
@@ -59,7 +62,7 @@ void BM_SimulatorScheduleFireTyped(benchmark::State& state) {
 BENCHMARK(BM_SimulatorScheduleFireTyped);
 
 /// Far-tier stress: every event is scheduled beyond the L2 window (> 64*64
-/// fine epochs = 128 time units with the default bucket width), so the
+/// fine epochs = 128 time units at the kernel's bucket width 1/32), so the
 /// kernel pays the full far-list -> L2 -> L1 -> sorted-run migration chain
 /// before each fire. Measures wheel bookkeeping, not dispatch.
 void BM_SimulatorScheduleFireFar(benchmark::State& state) {
@@ -85,6 +88,50 @@ void BM_SimulatorScheduleFireFar(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_SimulatorScheduleFireFar);
+
+/// Wheel promotion in isolation: each iteration parks N typed events in ONE
+/// future fine bucket (epoch 32 of the next coarse block, so the bucket is
+/// promoted as the sorted run rather than landing in the overlay heap) and
+/// drains them. Arg 0 is N; arg 1 = 1 puts every event at one identical
+/// time (the equal-time cluster case), arg 1 = 0 spreads them uniformly,
+/// in random order, over the bucket's width. The spread times are drawn
+/// afresh every iteration: replaying one input lets the branch predictor
+/// learn a comparison sort's outcomes, which real buckets never repeat.
+/// The Simulator is reused, so the steady state measures schedule + L2->L1
+/// move + promotion + fire (+ one random draw per event).
+void BM_WheelPromotion(benchmark::State& state) {
+  struct Counter {
+    std::uint64_t fired = 0;
+    void dispatch(const SimEvent&) { ++fired; }
+  };
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const double spread = state.range(1) != 0 ? 0.0 : 0.9 / 32;  // W = 1/32
+  Rng rng(0xB0C4E7);
+  Simulator sim;
+  Counter counter;
+  const std::uint8_t ch =
+      sim.register_dispatch_channel(&counter, [](void* self, const SimEvent& ev) {
+        static_cast<Counter*>(self)->dispatch(ev);
+      });
+  for (auto _ : state) {
+    // Coarse blocks span 64 * W = 2 time units; aim at the middle of the
+    // next one.
+    const Time base = 2.0 * (std::floor(sim.now() / 2.0) + 1.0) + 1.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      sim.schedule_event_at(base + rng.uniform(0.0, spread),
+                            SimEvent::node_event(EventKind::kTick, ch, 0));
+    }
+    sim.run();
+  }
+  benchmark::DoNotOptimize(counter.fired);
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_WheelPromotion)
+    ->ArgNames({"n", "equal_time"})
+    ->Args({64, 0})
+    ->Args({512, 0})
+    ->Args({4096, 0})
+    ->Args({512, 1});
 
 void BM_TriggerEvaluation(benchmark::State& state) {
   const auto peers = static_cast<int>(state.range(0));

@@ -7,13 +7,6 @@
 
 namespace gcs {
 
-Simulator::Simulator(double bucket_width) {
-  if (!(bucket_width > 0.0) || std::isinf(bucket_width)) {
-    throw std::invalid_argument("Simulator: bucket_width must be positive");
-  }
-  inv_bucket_width_ = 1.0 / bucket_width;
-}
-
 std::uint8_t Simulator::register_dispatch_channel(void* self, DispatchFn fn) {
   require(self != nullptr && fn != nullptr, "Simulator: null dispatch channel");
   require(channels_.size() < kNoChannel, "Simulator: too many dispatch channels");
@@ -268,12 +261,9 @@ void Simulator::advance_wheel() {
     cur_epoch_ = e;
     wheel_count_ -= b.size();
     // The near tier is empty here, so the bucket is adopted wholesale as
-    // the new run: one sort, then every pop is a sequential O(1) read.
-    run_.clear();
-    run_.swap(b);
-    run_head_ = 0;
-    std::sort(run_.begin(), run_.end(),
-              [](const HeapEntry& x, const HeapEntry& y) { return fires_before(x, y); });
+    // the new run: one ordering pass, then every pop is a sequential O(1)
+    // read.
+    promote_bucket(b);
     for (std::size_t pos = 0; pos < run_.size(); ++pos) {
       meta_[run_[pos].slot()].loc =
           pack_loc(kTierNear, kRunBucket, static_cast<std::uint32_t>(pos));
@@ -312,6 +302,49 @@ void Simulator::advance_wheel() {
   drain_far();
   // Entries at the block-start epoch landed in the heap directly; the rest
   // are distributed over this block's L1 buckets for step 1 to find.
+}
+
+void Simulator::promote_bucket(std::vector<HeapEntry>& b) {
+  // Split the bucket's epoch into S = bit_ceil(n) equal sub-epochs. The
+  // sub-epoch floor((t / W - epoch) * S) is monotone in t, so ordering the
+  // entries by sub-epoch and then each sub-epoch by the packed key yields
+  // exactly the order one sort of the whole bucket would.
+  const std::size_t n = b.size();
+  const std::size_t subs = std::bit_ceil(n);
+  const double epoch = static_cast<double>(cur_epoch_);
+  const double scale = static_cast<double>(subs);
+  const double last_sub = static_cast<double>(subs - 1);
+  const auto sub_of = [&](const HeapEntry& x) {
+    // Every entry has t / W in [epoch, epoch + 1), so the value already
+    // lies in [0, S); clamping it in double, before the integer cast, keeps
+    // the cast defined whatever the time (an out-of-range double -> integer
+    // conversion is undefined behaviour).
+    return static_cast<std::size_t>(
+        std::clamp((x.time() * kInvBucketWidth - epoch) * scale, 0.0, last_sub));
+  };
+  // Counting scatter: count, exclusive prefix sum, then place; placing
+  // advances each sub-epoch's cursor from its start to its end.
+  sub_end_.assign(subs, 0);
+  for (const HeapEntry& x : b) ++sub_end_[sub_of(x)];
+  std::uint32_t start = 0;
+  for (std::uint32_t& c : sub_end_) {
+    const std::uint32_t count = c;
+    c = start;
+    start += count;
+  }
+  promo_.resize(n);
+  for (const HeapEntry& x : b) promo_[sub_end_[sub_of(x)]++] = x;
+  const auto by_key = [](const HeapEntry& x, const HeapEntry& y) {
+    return fires_before(x, y);
+  };
+  std::uint32_t begin = 0;
+  for (const std::uint32_t end : sub_end_) {
+    if (end - begin > 1) std::sort(promo_.begin() + begin, promo_.begin() + end, by_key);
+    begin = end;
+  }
+  b.clear();
+  run_.swap(promo_);
+  run_head_ = 0;
 }
 
 bool Simulator::prepare_next() {

@@ -8,9 +8,9 @@
 // Pending events live in one of four tiers:
 //
 //   near   the near horizon: every event whose fine epoch (floor(time / W),
-//          W = `bucket_width`) is <= the wheel's current epoch. Split into
+//          W = 1/32 time units) is <= the wheel's current epoch. Split into
 //          two structures ordered by the packed (time, seq) key:
-//            run     the promoted bucket, sorted once at promotion and then
+//            run     the promoted bucket, ordered once at promotion and then
 //                    consumed front-to-back (O(1) pops, sequential memory);
 //            overlay a generation-tagged, index-tracked 4-ary min-heap for
 //                    events that land in the near horizon *after* the
@@ -24,10 +24,14 @@
 //   far    everything beyond the L2 window (more than 64*64 fine epochs
 //          ahead), an unsorted list rescanned when the L2 window slides.
 //
-// Bucket insertion and removal are O(1) (append / swap-remove); sorting
+// Bucket insertion and removal are O(1) (append / swap-remove); ordering
 // cost is paid once per bucket at promotion, and far-future timers (mlock
 // catch-ups, drift changes, periodic heartbeats) stop inflating every
-// comparison on the hot pop path.
+// comparison on the hot pop path. Promotion is a calendar-queue pass rather
+// than a comparison sort: the bucket's n entries are counted and scattered
+// over S = bit_ceil(n) equal sub-epochs, and only entries sharing a
+// sub-epoch are compared. Spread-out times cost O(n); an equal-time cluster
+// shares one sub-epoch and costs one O(k log k) sort of its k entries.
 //
 // ### Invariants the implementation relies on
 //
@@ -36,8 +40,10 @@
 //    strictly after every event currently in the near horizon; the packed
 //    (time_bits, seq) key is a total order (seq is unique), so the sorted
 //    run realizes global FIFO order no matter in which order the bucket was
-//    filled. Promotion happens lazily, only when the near horizon runs
-//    empty (`prepare_next`), and never moves `now`.
+//    filled. The sub-epoch index is monotone in time too, so distributing
+//    by sub-epoch and sorting within each yields the same run a sort of the
+//    whole bucket would. Promotion happens lazily, only when the near
+//    horizon runs empty (`prepare_next`), and never moves `now`.
 //  * Every pending event occupies a stable slot (reused through a free list,
 //    guarded against stale handles by a generation counter). The slot's
 //    8-byte metadata packs (tier, bucket, position) into one word whose
@@ -50,8 +56,10 @@
 //    A reschedule re-sequences the event (fresh seq number) exactly as if
 //    it had been cancelled and scheduled anew, wherever the new time lands.
 //  * Times are non-negative and compared as raw IEEE-754 bit patterns (see
-//    HeapEntry); epochs saturate for astronomically far times, which simply
-//    parks those events in the far list forever (correct, just unsorted).
+//    HeapEntry); epochs saturate for astronomically far times. Such events
+//    wait in the far list until nothing earlier is pending; then the wheel
+//    jumps to the saturated epoch, and from there on every event goes
+//    through the overlay heap (correct, just without the wheel's savings).
 //
 // ## SoA slot storage
 //
@@ -132,11 +140,7 @@ class Simulator {
   /// An instant-flush hook (see the header comment, "Instant boundaries").
   using FlushFn = void (*)(void* self);
 
-  /// `bucket_width` is the wheel's fine-epoch width W (simulated time units).
-  /// The default suits the engine's sub-second cadences; any positive value
-  /// is correct (only performance changes). Powers of two keep the epoch
-  /// boundaries exact.
-  explicit Simulator(double bucket_width = 0.03125);
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -222,8 +226,12 @@ class Simulator {
   static constexpr std::uint64_t kL1Count = 1ULL << kL1Bits;
   static constexpr std::uint64_t kL1Mask = kL1Count - 1;
   static constexpr std::uint64_t kL2Count = 64;
-  /// Epochs saturate here (times beyond ~1e15 * W land in the far list
-  /// forever, degrading gracefully to the unsorted-list + heap behavior).
+  /// 1 / W for the fine-epoch width W = 1/32 time units, which suits the
+  /// engine's sub-second cadences. A power of two, so `t * kInvBucketWidth`
+  /// and the sub-epoch arithmetic in promote_bucket are exact.
+  static constexpr double kInvBucketWidth = 32.0;
+  /// Epochs saturate here: every time at or beyond 4.5e15 * W (see
+  /// epoch_of) shares this epoch, which degrades to the overlay heap.
   static constexpr std::uint64_t kEpochSat = 1ULL << 62;
 
   // Slot location tiers, packed into SlotMeta::loc (see below). The near
@@ -298,7 +306,7 @@ class Simulator {
   [[nodiscard]] Time clamp_time(Time at) const;
   /// Fine epoch of a time (saturating; monotone in `at`).
   [[nodiscard]] std::uint64_t epoch_of(Time at) const {
-    const double scaled = at * inv_bucket_width_;
+    const double scaled = at * kInvBucketWidth;
     return scaled >= 4.5e15 ? kEpochSat : static_cast<std::uint64_t>(scaled);
   }
   /// Index of the smallest child of `pos` in a heap of size n (pos must
@@ -347,13 +355,16 @@ class Simulator {
   /// Advance cur_epoch_ to the next epoch holding events and promote its
   /// bucket as the new sorted run. Pre: near tier empty, wheel_count_ > 0.
   void advance_wheel();
+  /// Adopt L1 bucket `b` (fine epoch cur_epoch_) as the new run, sorted by
+  /// the packed (time, seq) key in linear expected time; `b` is left empty.
+  /// Pre: the run is fully consumed.
+  void promote_bucket(std::vector<HeapEntry>& b);
   /// Move every entry of the L2 bucket for coarse block `block` into L1.
   void drain_l2_block(std::uint64_t block);
   /// Pull far-list entries that now fit the L2/L1 windows (or the heap).
   void drain_far();
 
   Time now_ = 0.0;
-  double inv_bucket_width_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t fired_ = 0;
   std::uint64_t cur_epoch_ = 0;      ///< near tier covers fine epochs <= this
@@ -361,6 +372,11 @@ class Simulator {
   std::uint64_t far_min_coarse_ = kEpochSat;  ///< conservative lower bound
   std::vector<HeapEntry> run_;       ///< promoted bucket, sorted ascending
   std::size_t run_head_ = 0;         ///< first unconsumed run entry
+  // promote_bucket scratch, reused across promotions (grown lazily, so the
+  // steady state allocates nothing): the distributed entries, which are
+  // then swapped into run_, and each sub-epoch's end offset.
+  std::vector<HeapEntry> promo_;
+  std::vector<std::uint32_t> sub_end_;
   std::vector<HeapEntry> heap_;      ///< overlay 4-ary min-heap by (time, key)
   std::vector<HeapEntry> l1_[kL1Count];
   std::vector<HeapEntry> l2_[kL2Count];

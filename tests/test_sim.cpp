@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -225,7 +226,7 @@ TEST(Simulator, GenerationTagInvalidatesStaleHandlesAfterSlotReuse) {
 }
 
 // ---------------------------------------------------------------------------
-// Timing-wheel-specific stress cases. Default geometry: bucket width 1/32,
+// Timing-wheel-specific stress cases. Geometry: bucket width 1/32,
 // 64 fine buckets per coarse block, 64 coarse blocks — so one L1 rotation
 // spans 2 time units and the L2 window ends 128 time units out; anything
 // beyond that lives in the far list until the window slides.
@@ -430,6 +431,119 @@ TEST(Simulator, RandomizedOpsMatchNaiveReferenceQueue) {
     ASSERT_EQ(fired[already_fired + i], ref[i].tag) << "drain position " << i;
   }
   EXPECT_EQ(sim.pending_count(), 0u);
+}
+
+// Bucket promotion distributes a bucket over sub-epochs and sorts only
+// within each; these cases target the shapes where that could diverge from
+// one sort of the whole bucket. Each schedules `times` in the given order
+// (tag = index) into a fresh simulator, optionally cancels some tags before
+// anything fires, and checks the drain against the naive reference order:
+// (time, schedule order).
+void expect_naive_order(const std::vector<double>& times,
+                        const std::vector<std::size_t>& cancelled = {}) {
+  Simulator sim;
+  std::vector<std::size_t> fired;
+  std::vector<EventId> ids;
+  ids.reserve(times.size());
+  for (std::size_t tag = 0; tag < times.size(); ++tag) {
+    ids.push_back(sim.schedule_at(times[tag], [&fired, tag] { fired.push_back(tag); }));
+  }
+  std::vector<bool> live(times.size(), true);
+  for (const std::size_t tag : cancelled) {
+    ASSERT_TRUE(sim.cancel(ids[tag]));
+    live[tag] = false;
+  }
+  std::vector<std::size_t> expected;
+  for (std::size_t tag = 0; tag < times.size(); ++tag) {
+    if (live[tag]) expected.push_back(tag);
+  }
+  // Tags are schedule order, so a stable sort by time is the reference.
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&times](std::size_t a, std::size_t b) { return times[a] < times[b]; });
+  sim.run();
+  ASSERT_EQ(fired.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(fired[i], expected[i]) << "fire position " << i;
+  }
+}
+
+constexpr double kFineWidth = 1.0 / 32;  // the wheel's fine-epoch width W
+
+TEST(SimulatorPromotion, LargeShuffledBucketMatchesNaiveOrder) {
+  // 1500 distinct-ish times inside the single fine epoch starting at 5.0
+  // (mid-block, so the bucket is promoted rather than heap-inserted), in
+  // random schedule order, plus a few duplicates of earlier times.
+  Rng rng(0x5B0C);
+  std::vector<double> times;
+  for (int i = 0; i < 1500; ++i) times.push_back(5.0 + rng.uniform(0.0, kFineWidth));
+  for (int i = 0; i < 100; ++i) times.push_back(times[rng.below(times.size())]);
+  expect_naive_order(times);
+}
+
+TEST(SimulatorPromotion, EqualTimeClusterKeepsFifoInsideSpreadBucket) {
+  // 300 events at one identical time share a bucket with 300 spread ones:
+  // the cluster collapses into one sub-epoch and must keep FIFO order.
+  Rng rng(0xC1A5);
+  std::vector<double> times;
+  const double cluster = 7.0 + 0.4 * kFineWidth;
+  for (int i = 0; i < 600; ++i) {
+    times.push_back(i % 2 == 0 ? cluster : 7.0 + rng.uniform(0.0, kFineWidth));
+  }
+  expect_naive_order(times);
+}
+
+TEST(SimulatorPromotion, EpochAndSubEpochBoundaryTimes) {
+  // Times exactly on fine-epoch boundaries k*W, the double just below each
+  // (the previous epoch's last sub-epoch), and exact sub-epoch edges for
+  // several bucket sizes, scheduled in shuffled order.
+  Rng rng(0xB0DE);
+  std::vector<double> times;
+  for (int k = 150; k < 200; ++k) {
+    const double edge = k * kFineWidth;
+    times.push_back(edge);
+    times.push_back(std::nextafter(edge, 0.0));
+    for (const int parts : {4, 64, 512}) {
+      const double sub = edge + kFineWidth * static_cast<double>(rng.below(parts)) / parts;
+      times.push_back(sub);
+      times.push_back(std::nextafter(sub, 0.0));
+    }
+  }
+  for (std::size_t i = times.size() - 1; i > 0; --i) {
+    std::swap(times[i], times[rng.below(i + 1)]);
+  }
+  expect_naive_order(times);
+}
+
+TEST(SimulatorPromotion, SaturatedFarFutureTimesKeepOrder) {
+  // Beyond 4.5e15 * W the fine epoch saturates; at 1e13 one epoch holds
+  // only 16 representable times. Mix both with near events.
+  const double sat = 4.5e15 * kFineWidth;
+  std::vector<double> times;
+  for (int i = 0; i < 40; ++i) {
+    times.push_back(sat * (1.0 + 0.01 * (i % 7)));
+    times.push_back(sat * 3.0);
+    times.push_back(1e13 + kFineWidth * (i % 5) / 8.0);
+    times.push_back(3.0 + kFineWidth * (i % 9) / 9.0);
+  }
+  times.push_back(std::numeric_limits<double>::max());
+  times.push_back(sat);
+  expect_naive_order(times);
+}
+
+TEST(SimulatorPromotion, BucketReorderedByCancelsBeforePromotion) {
+  // Cancels swap-remove inside a wheel bucket, moving its last entry into
+  // the hole, so the promoted bucket is no longer in schedule order.
+  Rng rng(0xCA9C);
+  std::vector<double> times;
+  for (int i = 0; i < 800; ++i) {
+    // Coarse time quantization keeps many equal-time ties in play.
+    times.push_back(9.0 + kFineWidth * static_cast<double>(rng.below(40)) / 40.0);
+  }
+  std::vector<std::size_t> cancelled;
+  for (std::size_t tag = 0; tag < times.size(); ++tag) {
+    if (rng.chance(0.3)) cancelled.push_back(tag);
+  }
+  expect_naive_order(times, cancelled);
 }
 
 
