@@ -3,192 +3,46 @@
 #include <algorithm>
 #include <cmath>
 
-namespace gcs {
+#include "util/rng.h"
 
-namespace {
-void check_rho(double rho) {
-  require(rho >= 0.0 && rho < 1.0, "drift: rho must be in [0,1)");
-}
-}  // namespace
+namespace gcs {
 
 // ---------------------------------------------------------------- Constant
 
-ConstantDrift::ConstantDrift(double rho, std::vector<double> offsets)
-    : rho_(rho), offsets_(std::move(offsets)) {
-  check_rho(rho);
-  for (double off : offsets_) {
-    require(std::fabs(off) <= rho_ + 1e-15, "ConstantDrift: |offset| > rho");
+ConstantDrift::ConstantDrift(double rho, std::vector<double> rates)
+    : rho_(rho), rates_(std::move(rates)) {
+  require(rho >= 0.0 && rho < 1.0, "drift: rho must be in [0,1)");
+  for (double rate : rates_) {
+    require(std::fabs(rate - 1.0) <= rho_ + 1e-15, "ConstantDrift: |rate-1| > rho");
   }
 }
 
-ConstantDrift::ConstantDrift(double rho, double offset, int n)
-    : ConstantDrift(rho, std::vector<double>(static_cast<std::size_t>(n), offset)) {}
+// ----------------------------------------------------------------- Stepped
 
-double ConstantDrift::rate_at(NodeId u, Time) {
-  return 1.0 + offsets_.at(static_cast<std::size_t>(u));
+SteppedDrift::SteppedDrift(double rho, Duration step, RateFn rate)
+    : rho_(rho), step_(step), rate_(std::move(rate)) {
+  require(rho >= 0.0 && rho < 1.0, "drift: rho must be in [0,1)");
+  require(step > 0.0 && rate_ != nullptr, "SteppedDrift: bad arguments");
 }
 
-// ------------------------------------------------------------ LinearSpread
-
-LinearSpreadDrift::LinearSpreadDrift(double rho, int n) : rho_(rho), n_(n) {
-  check_rho(rho);
-  require(n >= 1, "LinearSpreadDrift: need n >= 1");
-}
-
-double LinearSpreadDrift::rate_at(NodeId u, Time) {
-  if (n_ == 1) return 1.0;
-  const double frac = static_cast<double>(u) / static_cast<double>(n_ - 1);
-  return 1.0 - rho_ + 2.0 * rho_ * frac;
-}
-
-// ------------------------------------------------------- AlternatingBlocks
-
-AlternatingBlocksDrift::AlternatingBlocksDrift(double rho, int n, int blocks,
-                                               Duration period)
-    : rho_(rho), n_(n), blocks_(blocks), period_(period) {
-  check_rho(rho);
-  require(n >= 1 && blocks >= 1 && period > 0.0,
-          "AlternatingBlocksDrift: bad arguments");
-}
-
-double AlternatingBlocksDrift::rate_at(NodeId u, Time t) {
-  const int block = static_cast<int>(
-      static_cast<long long>(u) * blocks_ / std::max(1, n_));
-  const auto phase = static_cast<long long>(std::floor(t / period_));
-  const int sign = ((block + static_cast<int>(phase & 1)) % 2 == 0) ? 1 : -1;
-  return 1.0 + rho_ * sign;
-}
-
-Time AlternatingBlocksDrift::next_change_after(NodeId, Time t) {
-  const auto phase = std::floor(t / period_);
-  Time next = (phase + 1.0) * period_;
-  if (next <= t) next = (phase + 2.0) * period_;
-  return next;
-}
-
-// ------------------------------------------------------------- RandomWalk
-
-RandomWalkDrift::RandomWalkDrift(double rho, int n, Duration step_period,
-                                 double step_std, std::uint64_t seed)
-    : rho_(rho), n_(n), step_period_(step_period), step_std_(step_std) {
-  check_rho(rho);
-  require(n >= 1 && step_period > 0.0 && step_std >= 0.0,
-          "RandomWalkDrift: bad arguments");
-  Rng root(seed);
-  node_rngs_.reserve(static_cast<std::size_t>(n));
-  walks_.resize(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) node_rngs_.push_back(root.fork(static_cast<std::uint64_t>(i)));
-}
-
-double RandomWalkDrift::offset(NodeId u, std::size_t k) {
-  auto& walk = walks_.at(static_cast<std::size_t>(u));
-  auto& rng = node_rngs_.at(static_cast<std::size_t>(u));
-  while (walk.size() <= k) {
-    const double prev = walk.empty() ? 0.0 : walk.back();
-    const double next = std::clamp(prev + rng.normal(0.0, step_std_), -rho_, rho_);
-    walk.push_back(next);
+std::int64_t SteppedDrift::step_index(Time t) const {
+  if (!(t > 0.0)) return 0;
+  const double q = std::floor(t / step_);
+  require(q < 0x1p62, "SteppedDrift: time beyond the step grid");
+  // t/step is rounded: at or just past a grid point (k+1)·step it can floor
+  // to k, just before k·step it can floor to k. Settle k against the grid
+  // products themselves, which are what next_change_after hands out.
+  auto k = static_cast<std::int64_t>(q);
+  if (static_cast<double>(k + 1) * step_ <= t) {
+    ++k;
+  } else if (static_cast<double>(k) * step_ > t) {
+    --k;
   }
-  return walk[k];
+  return k;
 }
 
-double RandomWalkDrift::rate_at(NodeId u, Time t) {
-  const auto k = static_cast<std::size_t>(std::max(0.0, std::floor(t / step_period_)));
-  return 1.0 + offset(u, k);
-}
-
-Time RandomWalkDrift::next_change_after(NodeId, Time t) {
-  const auto k = std::floor(std::max(0.0, t) / step_period_);
-  Time next = (k + 1.0) * step_period_;
-  if (next <= t) next = (k + 2.0) * step_period_;
-  return next;
-}
-
-// ------------------------------------------- ConstantDriftOscillator (INET)
-
-ConstantDriftOscillator::ConstantDriftOscillator(double rho, int n,
-                                                 std::vector<double> ppm)
-    : rho_(rho), n_(n), ppm_(std::move(ppm)) {
-  check_rho(rho);
-  require(n >= 1, "ConstantDriftOscillator: need n >= 1");
-  require(!ppm_.empty(), "ConstantDriftOscillator: need at least one ppm value");
-  for (double p : ppm_) {
-    require(std::fabs(p) * 1e-6 <= rho_ + 1e-15,
-            "ConstantDriftOscillator: |ppm|*1e-6 > rho");
-  }
-}
-
-double ConstantDriftOscillator::rate_at(NodeId u, Time) {
-  return 1.0 + ppm_[static_cast<std::size_t>(u) % ppm_.size()] * 1e-6;
-}
-
-// --------------------------------------------- RandomDriftOscillator (INET)
-
-RandomDriftOscillator::RandomDriftOscillator(double rho, int n, Duration interval,
-                                             double change_ppm, double limit_ppm,
-                                             std::uint64_t seed)
-    : rho_(rho),
-      n_(n),
-      interval_(interval),
-      change_ppm_(change_ppm),
-      limit_ppm_(limit_ppm) {
-  check_rho(rho);
-  require(n >= 1 && interval > 0.0 && change_ppm >= 0.0 && limit_ppm >= 0.0,
-          "RandomDriftOscillator: bad arguments");
-  require(limit_ppm * 1e-6 <= rho_ + 1e-15,
-          "RandomDriftOscillator: limit_ppm*1e-6 > rho");
-  Rng root(seed);
-  node_rngs_.reserve(static_cast<std::size_t>(n));
-  walks_.resize(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    node_rngs_.push_back(root.fork(static_cast<std::uint64_t>(i)));
-  }
-}
-
-double RandomDriftOscillator::offset_ppm(NodeId u, std::size_t k) {
-  auto& walk = walks_.at(static_cast<std::size_t>(u));
-  auto& rng = node_rngs_.at(static_cast<std::size_t>(u));
-  if (walk.empty()) walk.push_back(0.0);  // the walk starts at zero offset
-  while (walk.size() <= k) {
-    const double step = rng.uniform(-change_ppm_, change_ppm_);
-    walk.push_back(std::clamp(walk.back() + step, -limit_ppm_, limit_ppm_));
-  }
-  return walk[k];
-}
-
-double RandomDriftOscillator::rate_at(NodeId u, Time t) {
-  const auto k = static_cast<std::size_t>(std::max(0.0, std::floor(t / interval_)));
-  return 1.0 + offset_ppm(u, k) * 1e-6;
-}
-
-Time RandomDriftOscillator::next_change_after(NodeId, Time t) {
-  const auto k = std::floor(std::max(0.0, t) / interval_);
-  Time next = (k + 1.0) * interval_;
-  if (next <= t) next = (k + 2.0) * interval_;
-  return next;
-}
-
-// ------------------------------------------------------------- Sinusoidal
-
-SinusoidalDrift::SinusoidalDrift(double rho, int n, Duration period, int steps)
-    : rho_(rho), n_(n), period_(period), steps_(steps) {
-  check_rho(rho);
-  require(n >= 1 && period > 0.0 && steps >= 4, "SinusoidalDrift: bad arguments");
-}
-
-double SinusoidalDrift::rate_at(NodeId u, Time t) {
-  // Evaluate at the midpoint of the current discretization segment so the
-  // piecewise-constant value is centered on the true sinusoid.
-  const double seg = period_ / static_cast<double>(steps_);
-  const double mid = (std::floor(t / seg) + 0.5) * seg;
-  const double phase = 2.0 * M_PI * static_cast<double>(u) / static_cast<double>(n_);
-  return 1.0 + rho_ * std::sin(2.0 * M_PI * mid / period_ + phase);
-}
-
-Time SinusoidalDrift::next_change_after(NodeId, Time t) {
-  const double seg = period_ / static_cast<double>(steps_);
-  Time next = (std::floor(t / seg) + 1.0) * seg;
-  if (next <= t) next += seg;
-  return next;
+Time SteppedDrift::next_change_after(NodeId, Time t) {
+  return static_cast<double>(step_index(t) + 1) * step_;
 }
 
 // ---------------------------------------------------------- ReferenceNode
@@ -255,78 +109,163 @@ Time ScriptedDrift::next_change_after(NodeId u, Time t) {
 
 namespace {
 
+/// One fixed rate per node, rate(u) for u in [0, n).
+std::vector<double> rates_per_node(int n, const std::function<double(int)>& rate) {
+  require(n >= 1, "drift: need n >= 1");
+  std::vector<double> rates(static_cast<std::size_t>(n));
+  for (int u = 0; u < n; ++u) rates[static_cast<std::size_t>(u)] = rate(u);
+  return rates;
+}
+
+/// Per-node bounded random walks: walk u starts at 0 and its k-th value is
+/// the (k-1)-th plus draw(rng_u), clamped to [-limit, limit]. Each node
+/// draws from its own stream forked off `seed`; values are memoized and
+/// extended lazily, so queries in any order see the same walk.
+class BoundedWalk {
+ public:
+  BoundedWalk(int n, std::uint64_t seed, double limit, std::function<double(Rng&)> draw)
+      : limit_(limit), draw_(std::move(draw)), walks_(static_cast<std::size_t>(n)) {
+    require(n >= 1, "drift: need n >= 1");
+    Rng root(seed);
+    rngs_.reserve(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) rngs_.push_back(root.fork(static_cast<std::uint64_t>(i)));
+  }
+
+  /// Node u's walk after k+1 draws.
+  double at(NodeId u, std::int64_t k) {
+    auto& walk = walks_.at(static_cast<std::size_t>(u));
+    auto& rng = rngs_[static_cast<std::size_t>(u)];
+    while (static_cast<std::int64_t>(walk.size()) <= k) {
+      const double prev = walk.empty() ? 0.0 : walk.back();
+      walk.push_back(std::clamp(prev + draw_(rng), -limit_, limit_));
+    }
+    return walk[static_cast<std::size_t>(k)];
+  }
+
+ private:
+  double limit_;
+  std::function<double(Rng&)> draw_;
+  std::vector<Rng> rngs_;
+  std::vector<std::vector<double>> walks_;  // walks_[u][k]
+};
+
 void register_builtin_drift_models(Registry<DriftFactory>& r) {
   using E = Registry<DriftFactory>::Entry;
+  using Model = std::unique_ptr<DriftModel>;
   r.add(E{"none",
           "all rates exactly 1 + offset",
           {{"offset", "0", "constant rate offset, |offset| <= rho"}},
-          [](const ParamMap& p, const DriftArgs& a) -> std::unique_ptr<DriftModel> {
-            return std::make_unique<ConstantDrift>(a.rho, p.get_double("offset", 0.0),
-                                                   a.n);
+          [](const ParamMap& p, const DriftArgs& a) -> Model {
+            const double offset = p.get_double("offset", 0.0);
+            return std::make_unique<ConstantDrift>(
+                a.rho, rates_per_node(a.n, [&](int) { return 1.0 + offset; }));
           }});
   r.add(E{"spread", "maximally divergent constant rates (worst case for global skew)",
           {},
-          [](const ParamMap&, const DriftArgs& a) -> std::unique_ptr<DriftModel> {
-            return std::make_unique<LinearSpreadDrift>(a.rho, a.n);
+          [](const ParamMap&, const DriftArgs& a) -> Model {
+            // Node u runs at 1 - rho + 2*rho*u/(n-1).
+            return std::make_unique<ConstantDrift>(
+                a.rho, rates_per_node(a.n, [&](int u) {
+                  if (a.n == 1) return 1.0;
+                  const double frac = static_cast<double>(u) / static_cast<double>(a.n - 1);
+                  return 1.0 - a.rho + 2.0 * a.rho * frac;
+                }));
           }});
   r.add(E{"blocks",
           "block-sign drift flipping every period (gradient stressor)",
           {{"period", "200", "sign-flip period"},
            {"blocks", "2", "number of contiguous index blocks"}},
-          [](const ParamMap& p, const DriftArgs& a) -> std::unique_ptr<DriftModel> {
-            return std::make_unique<AlternatingBlocksDrift>(
-                a.rho, a.n, p.get_int("blocks", 2), p.get_double("period", 200.0));
+          [](const ParamMap& p, const DriftArgs& a) -> Model {
+            // Contiguous index blocks; block parity decides the sign of the
+            // drift and every sign flips each step, so adjacent blocks pull
+            // apart at rate 2*rho, then reverse.
+            const int blocks = p.get_int("blocks", 2);
+            require(a.n >= 1 && blocks >= 1, "blocks drift: bad arguments");
+            return std::make_unique<SteppedDrift>(
+                a.rho, p.get_double("period", 200.0), [a, blocks](NodeId u, std::int64_t k) {
+                  const int block =
+                      static_cast<int>(static_cast<long long>(u) * blocks / a.n);
+                  const int sign = ((block + static_cast<int>(k & 1)) % 2 == 0) ? 1 : -1;
+                  return 1.0 + a.rho * sign;
+                });
           }});
   r.add(E{"walk",
           "bounded random walk of per-node offsets",
           {{"period", "10", "step period"},
            {"std", "0", "step standard deviation (0 = rho/4)"}},
-          [](const ParamMap& p, const DriftArgs& a) -> std::unique_ptr<DriftModel> {
-            const double std_dev = p.get_double("std", 0.0);
-            return std::make_unique<RandomWalkDrift>(
-                a.rho, a.n, p.get_double("period", 10.0),
-                std_dev > 0.0 ? std_dev : a.rho / 4.0, a.seed ^ 0xd21fULL);
+          [](const ParamMap& p, const DriftArgs& a) -> Model {
+            // Every step each node's offset moves by a N(0, std) increment,
+            // clamped to [-rho, rho].
+            const double std_param = p.get_double("std", 0.0);
+            const double std_dev = std_param > 0.0 ? std_param : a.rho / 4.0;
+            auto walk = std::make_shared<BoundedWalk>(
+                a.n, a.seed ^ 0xd21fULL, a.rho,
+                [std_dev](Rng& rng) { return rng.normal(0.0, std_dev); });
+            return std::make_unique<SteppedDrift>(
+                a.rho, p.get_double("period", 10.0),
+                [walk](NodeId u, std::int64_t k) { return 1.0 + walk->at(u, k); });
           }});
   r.add(E{"osc-const",
           "INET-style constant-drift oscillator: per-node ppm offsets (cycled)",
           {{"ppm", "100", "'/'-separated ppm list, e.g. 100/-200/50 (nodes cycle "
                           "through it); |ppm|*1e-6 <= rho"}},
-          [](const ParamMap& p, const DriftArgs& a) -> std::unique_ptr<DriftModel> {
+          [](const ParamMap& p, const DriftArgs& a) -> Model {
+            // Rates fixed for the whole run and configured per node in
+            // parts-per-million, as oscillator datasheets give them.
             std::vector<double> ppm;
-            std::string text = p.get_str("ppm", "100");
-            std::size_t start = 0;
-            while (start <= text.size()) {
-              const std::size_t slash = text.find('/', start);
-              const std::string item =
-                  text.substr(start, slash == std::string::npos ? std::string::npos
-                                                                : slash - start);
-              ppm.push_back(parse_strict_double("param 'ppm'", item));
-              if (slash == std::string::npos) break;
-              start = slash + 1;
+            const std::string text = p.get_str("ppm", "100");
+            for (std::size_t start = 0, slash = 0; slash != std::string::npos;
+                 start = slash + 1) {
+              slash = text.find('/', start);
+              ppm.push_back(parse_strict_double("param 'ppm'",
+                                                text.substr(start, slash - start)));
+              require(std::fabs(ppm.back()) * 1e-6 <= a.rho + 1e-15,
+                      "osc-const drift: |ppm|*1e-6 > rho");
             }
-            return std::make_unique<ConstantDriftOscillator>(a.rho, a.n,
-                                                             std::move(ppm));
+            return std::make_unique<ConstantDrift>(
+                a.rho, rates_per_node(a.n, [&](int u) {
+                  return 1.0 + ppm[static_cast<std::size_t>(u) % ppm.size()] * 1e-6;
+                }));
           }});
   r.add(E{"osc-random",
           "INET-style random-drift oscillator: bounded uniform walk of the ppm rate",
           {{"interval", "10", "time between drift-rate changes"},
            {"change", "25", "max |ppm| change per interval (uniform draw)"},
            {"limit", "0", "drift-rate clamp in ppm (0 = rho*1e6)"}},
-          [](const ParamMap& p, const DriftArgs& a) -> std::unique_ptr<DriftModel> {
-            const double limit = p.get_double("limit", 0.0);
-            return std::make_unique<RandomDriftOscillator>(
-                a.rho, a.n, p.get_double("interval", 10.0),
-                p.get_double("change", 25.0),
-                limit > 0.0 ? limit : a.rho * 1e6, a.seed ^ 0x05c1ULL);
+          [](const ParamMap& p, const DriftArgs& a) -> Model {
+            // The ppm offset starts at 0 and every interval moves by
+            // uniform(-change, change), clamped to [-limit, limit]: uniform,
+            // not Gaussian, steps and a limit that may sit inside rho.
+            const double change = p.get_double("change", 25.0);
+            const double limit_param = p.get_double("limit", 0.0);
+            const double limit = limit_param > 0.0 ? limit_param : a.rho * 1e6;
+            require(change >= 0.0, "osc-random drift: bad arguments");
+            require(limit * 1e-6 <= a.rho + 1e-15, "osc-random drift: limit*1e-6 > rho");
+            auto walk = std::make_shared<BoundedWalk>(
+                a.n, a.seed ^ 0x05c1ULL, limit,
+                [change](Rng& rng) { return rng.uniform(-change, change); });
+            return std::make_unique<SteppedDrift>(
+                a.rho, p.get_double("interval", 10.0), [walk](NodeId u, std::int64_t k) {
+                  return 1.0 + (k == 0 ? 0.0 : walk->at(u, k - 1)) * 1e-6;
+                });
           }});
   r.add(E{"sine",
           "temperature-cycle style oscillation with per-node phase",
           {{"period", "400", "oscillation period"},
            {"steps", "32", "piecewise-constant segments per period"}},
-          [](const ParamMap& p, const DriftArgs& a) -> std::unique_ptr<DriftModel> {
-            return std::make_unique<SinusoidalDrift>(a.rho, a.n,
-                                                     p.get_double("period", 400.0),
-                                                     p.get_int("steps", 32));
+          [](const ParamMap& p, const DriftArgs& a) -> Model {
+            // rate_u = 1 + rho*sin(2π t/period + 2π u/n), held constant on
+            // each of `steps` segments per period at its midpoint value.
+            const double period = p.get_double("period", 400.0);
+            const int steps = p.get_int("steps", 32);
+            require(a.n >= 1 && period > 0.0 && steps >= 4, "sine drift: bad arguments");
+            const double seg = period / static_cast<double>(steps);
+            return std::make_unique<SteppedDrift>(a.rho, seg, [=](NodeId u, std::int64_t k) {
+              const double mid = (static_cast<double>(k) + 0.5) * seg;
+              const double phase =
+                  2.0 * M_PI * static_cast<double>(u) / static_cast<double>(a.n);
+              return 1.0 + a.rho * std::sin(2.0 * M_PI * mid / period + phase);
+            });
           }});
 }
 

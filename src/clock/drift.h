@@ -2,11 +2,18 @@
 //
 // All models produce piecewise-constant rates within [1-rho, 1+rho]; the
 // engine queries `rate_at` and schedules a re-query at `next_change_after`.
-// Queries may be non-monotone in t (metrics sample the past); models with
-// lazily generated schedules extend them as needed and memoize, so a given
-// (node, t) always returns the same value.
+// Queries may be non-monotone in t (metrics sample the past), so a given
+// (node, t) must always return the same value.
+//
+// Two shapes cover every built-in kind: ConstantDrift (one fixed rate per
+// node) and SteppedDrift (a rate per node and step of one uniform time
+// grid, given as a function of the step index). Each registry kind is a
+// factory over one of them; randomized kinds draw from per-node forked
+// streams and memoize what they drew. ReferenceNodeDrift wraps any model
+// (§3 remark) and ScriptedDrift replays explicit breakpoints.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -14,7 +21,6 @@
 
 #include "util/common.h"
 #include "util/registry.h"
-#include "util/rng.h"
 
 namespace gcs {
 
@@ -32,143 +38,45 @@ class DriftModel {
   [[nodiscard]] virtual double rho() const = 0;
 };
 
-/// Every node runs at a fixed rate 1 + offset_u, |offset_u| <= rho.
+/// Every node holds one rate for the whole run: rates[u], within
+/// [1-rho, 1+rho]. The `none`, `spread` and `osc-const` kinds fill it in.
 class ConstantDrift final : public DriftModel {
  public:
-  ConstantDrift(double rho, std::vector<double> offsets);
-  /// All nodes at the same fixed offset.
-  ConstantDrift(double rho, double offset, int n);
+  ConstantDrift(double rho, std::vector<double> rates);
 
-  double rate_at(NodeId u, Time t) override;
+  double rate_at(NodeId u, Time) override { return rates_.at(static_cast<std::size_t>(u)); }
   Time next_change_after(NodeId u, Time t) override { (void)u, (void)t; return kTimeInf; }
   [[nodiscard]] double rho() const override { return rho_; }
 
  private:
   double rho_;
-  std::vector<double> offsets_;
+  std::vector<double> rates_;
 };
 
-/// Node i runs at rate 1 - rho + 2*rho*i/(n-1): the maximally divergent
-/// constant assignment (worst case for global skew growth).
-class LinearSpreadDrift final : public DriftModel {
+/// Node u runs at rate(u, k) on the k-th step [k·step, (k+1)·step) of one
+/// uniform grid shared by every node; `rate` must stay within [1-rho, 1+rho]
+/// and return the same value for the same (u, k) however often and in
+/// whatever order it is asked. The `blocks`, `walk`, `osc-random` and `sine`
+/// kinds are such functions.
+class SteppedDrift final : public DriftModel {
  public:
-  LinearSpreadDrift(double rho, int n);
-  double rate_at(NodeId u, Time t) override;
-  Time next_change_after(NodeId u, Time t) override { (void)u, (void)t; return kTimeInf; }
-  [[nodiscard]] double rho() const override { return rho_; }
+  using RateFn = std::function<double(NodeId u, std::int64_t k)>;
 
- private:
-  double rho_;
-  int n_;
-};
+  SteppedDrift(double rho, Duration step, RateFn rate);
 
-/// The network is split into `blocks` contiguous index blocks; block parity
-/// decides the sign of the drift, and all signs flip every `period`.
-/// A classic stressor for the *gradient* property: adjacent blocks pull
-/// apart at rate 2*rho, then reverse.
-class AlternatingBlocksDrift final : public DriftModel {
- public:
-  AlternatingBlocksDrift(double rho, int n, int blocks, Duration period);
-  double rate_at(NodeId u, Time t) override;
+  double rate_at(NodeId u, Time t) override { return rate_(u, step_index(t)); }
   Time next_change_after(NodeId u, Time t) override;
   [[nodiscard]] double rho() const override { return rho_; }
 
- private:
-  double rho_;
-  int n_;
-  int blocks_;
-  Duration period_;
-};
-
-/// Bounded random walk: every `step_period`, each node's offset moves by a
-/// N(0, step_std) increment, clamped to [-rho, rho]. Deterministic given seed.
-class RandomWalkDrift final : public DriftModel {
- public:
-  RandomWalkDrift(double rho, int n, Duration step_period, double step_std,
-                  std::uint64_t seed);
-  double rate_at(NodeId u, Time t) override;
-  Time next_change_after(NodeId u, Time t) override;
-  [[nodiscard]] double rho() const override { return rho_; }
-
- private:
-  /// Offset of node u during step k (memoized; extends lazily).
-  double offset(NodeId u, std::size_t k);
-
-  double rho_;
-  int n_;
-  Duration step_period_;
-  double step_std_;
-  std::vector<Rng> node_rngs_;
-  std::vector<std::vector<double>> walks_;  // walks_[u][k]
-};
-
-/// Temperature-cycle-style drift: rate_u(t) = 1 + rho*sin(2π t/period + φ_u)
-/// with per-node phase φ_u = 2π u/n, discretized into `steps` piecewise-
-/// constant segments per period (the model requires piecewise-constant
-/// rates; the discretization error is folded into rho).
-class SinusoidalDrift final : public DriftModel {
- public:
-  SinusoidalDrift(double rho, int n, Duration period, int steps = 32);
-  double rate_at(NodeId u, Time t) override;
-  Time next_change_after(NodeId u, Time t) override;
-  [[nodiscard]] double rho() const override { return rho_; }
+  /// The step holding t: k with k·step <= t < (k+1)·step, both products
+  /// rounded as next_change_after rounds them, so a change event at
+  /// t = (k+1)·step enters step k+1. Times before 0 are in step 0.
+  [[nodiscard]] std::int64_t step_index(Time t) const;
 
  private:
   double rho_;
-  int n_;
-  Duration period_;
-  int steps_;
-};
-
-/// INET-style constant-drift oscillator (ConstantDriftOscillator in the
-/// clockdrift showcase): each node's hardware rate is 1 + ppm_u·1e-6, fixed
-/// for the whole run and configured *per node* in parts-per-million — the
-/// way real oscillator datasheets and the INET showcase configurations
-/// specify it. Nodes beyond the configured list cycle through it (the
-/// showcase's "same config for every switch" pattern). |ppm·1e-6| must not
-/// exceed rho.
-class ConstantDriftOscillator final : public DriftModel {
- public:
-  ConstantDriftOscillator(double rho, int n, std::vector<double> ppm);
-
-  double rate_at(NodeId u, Time t) override;
-  Time next_change_after(NodeId u, Time t) override { (void)u, (void)t; return kTimeInf; }
-  [[nodiscard]] double rho() const override { return rho_; }
-
- private:
-  double rho_;
-  int n_;
-  std::vector<double> ppm_;
-};
-
-/// INET-style random-drift oscillator (RandomDriftOscillator): the drift
-/// *rate* performs a bounded uniform random walk — every `interval`, each
-/// node's ppm offset moves by uniform(-change_ppm, +change_ppm) and is
-/// clamped to [-limit_ppm, +limit_ppm] (the showcase's driftRateChange /
-/// driftRateChangeLimit pair). Distinct from RandomWalkDrift: uniform (not
-/// Gaussian) increments and an explicit drift-rate limit that may sit well
-/// inside the model bound rho. Deterministic given the seed; queries may be
-/// non-monotone (the walk is memoized per step).
-class RandomDriftOscillator final : public DriftModel {
- public:
-  RandomDriftOscillator(double rho, int n, Duration interval, double change_ppm,
-                        double limit_ppm, std::uint64_t seed);
-
-  double rate_at(NodeId u, Time t) override;
-  Time next_change_after(NodeId u, Time t) override;
-  [[nodiscard]] double rho() const override { return rho_; }
-
- private:
-  /// ppm offset of node u during step k (memoized; extends lazily).
-  double offset_ppm(NodeId u, std::size_t k);
-
-  double rho_;
-  int n_;
-  Duration interval_;
-  double change_ppm_;
-  double limit_ppm_;
-  std::vector<Rng> node_rngs_;
-  std::vector<std::vector<double>> walks_;  // walks_[u][k], in ppm
+  Duration step_;
+  RateFn rate_;
 };
 
 /// §3 remark: make one reference node u0 artificially faster by a factor

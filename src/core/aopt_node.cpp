@@ -381,7 +381,7 @@ void AoptNode::scan_triggers(ClockValue own) {
         bound.widen(h.entry.base, h.entry.recv_hw);
       }
     } else {
-      const auto opt = api_->neighbor_estimate_present(h.id, lp.eps);
+      const auto opt = api_->neighbor_estimate(h.id);
       have = opt.has_value();
       if (have) est = *opt;
     }

@@ -25,16 +25,6 @@ const EdgeParams& NodeApi::edge_params(NodeId peer) const {
   return engine_.graph_.params(EdgeKey(id_, peer));
 }
 std::optional<ClockValue> NodeApi::neighbor_estimate(NodeId peer) {
-  if (engine_.oracle_estimates_ != nullptr) {
-    return engine_.oracle_estimates_->estimate(id_, peer);  // devirtualized
-  }
-  return engine_.estimates_.estimate(id_, peer);
-}
-
-std::optional<ClockValue> NodeApi::neighbor_estimate_present(NodeId peer, double eps) {
-  if (engine_.oracle_estimates_ != nullptr) {
-    return engine_.oracle_estimates_->estimate_present(id_, peer, eps);
-  }
   return engine_.estimates_.estimate(id_, peer);
 }
 double NodeApi::edge_eps(NodeId peer) const {

@@ -66,10 +66,6 @@ class NodeApi {
 
   /// Estimate layer access (eq. 1).
   std::optional<ClockValue> neighbor_estimate(NodeId peer);
-  /// Like neighbor_estimate, for callers that know the peer is currently in
-  /// this node's view and know the edge's ε (algorithms cache both): lets
-  /// the oracle source skip its graph lookup. Identical results.
-  std::optional<ClockValue> neighbor_estimate_present(NodeId peer, double eps);
   [[nodiscard]] double edge_eps(NodeId peer) const;
 
   /// Listing 1 line 9. Returns false if the edge is absent from our view.
@@ -91,7 +87,7 @@ class NodeApi {
   [[nodiscard]] BeaconEstimateSource* beacon_source() const;
   /// True logical clock of a peer, advanced exactly as the oracle source's
   /// ClockAccess read would (mutating v's lazy integration state — call it
-  /// precisely where estimate_present would have been called).
+  /// precisely where the oracle source's estimate() would have read it).
   ClockValue peer_true_logical(NodeId v);
   /// Own hardware clock value, without re-advancing: valid inside
   /// Algorithm::reevaluate(), which the engine always enters with this

@@ -20,10 +20,6 @@ std::optional<ClockValue> OracleEstimateSource::estimate(NodeId u, NodeId v) {
   require(clocks_ != nullptr, "OracleEstimateSource: bind() not called");
   const NeighborView* nv = graph_.find_neighbor(u, v);
   if (nv == nullptr) return std::nullopt;
-  return estimate_present(u, v, nv->params->eps);
-}
-
-ClockValue OracleEstimateSource::estimate_present(NodeId u, NodeId v, double eps) {
   const ClockValue truth = clocks_->true_logical(v);
   // true_logical(u) advances u's lazy clock state; only the adversarial
   // policy may read it (perturb ignores `mine` otherwise, and an eager read
@@ -31,7 +27,7 @@ ClockValue OracleEstimateSource::estimate_present(NodeId u, NodeId v, double eps
   const ClockValue mine = policy_ == OracleErrorPolicy::kAdversarial
                               ? clocks_->true_logical(u)
                               : 0.0;
-  return perturb(u, v, truth, mine, eps);
+  return perturb(u, v, truth, mine, nv->params->eps);
 }
 
 double OracleEstimateSource::eps(const EdgeKey& e) const {

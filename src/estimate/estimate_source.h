@@ -93,19 +93,13 @@ class OracleEstimateSource final : public EstimateSource {
   std::optional<ClockValue> estimate(NodeId u, NodeId v) override;
   [[nodiscard]] double eps(const EdgeKey& e) const override;
 
-  /// Fast path for callers that already know v is in u's view and know the
-  /// edge's ε (the engine's algorithms cache both): skips the graph lookup.
-  /// Draws exactly what estimate() would, so results are identical when the
-  /// preconditions hold.
-  ClockValue estimate_present(NodeId u, NodeId v, double eps);
-
-  /// The error application of estimate_present, split out so an incremental
-  /// scan that already holds the true clock values can skip the ClockAccess
-  /// virtual hops. `mine` is u's own current logical clock; it is read only
-  /// by the adversarial policy (where estimate_present would have fetched
-  /// true_logical(u), the same value at scan time). Under kUniform each call
-  /// is one keyed draw on (u, v, u's draw count); the other policies draw
-  /// nothing.
+  /// The error application of estimate(), split out so an incremental scan
+  /// that already holds the true clock values can skip the graph lookup and
+  /// the ClockAccess virtual hops. `mine` is u's own current logical clock;
+  /// it is read only by the adversarial policy (where estimate() would have
+  /// fetched true_logical(u), the same value at scan time). Under kUniform
+  /// each call is one keyed draw on (u, v, u's draw count); the other
+  /// policies draw nothing.
   ClockValue perturb(NodeId u, NodeId v, ClockValue truth, ClockValue mine, double eps) {
     switch (policy_) {
       case OracleErrorPolicy::kZero:

@@ -11,27 +11,14 @@
 
 namespace gcs {
 
-namespace {
-
-/// Resolve the topology exactly as Scenario's constructor will (same seed,
-/// same registry, same RNG stream), so the hub can be sized before any
-/// replica exists. Every replica then re-derives the identical edge list.
-TopologyResult resolve_topology(const ScenarioSpec& spec) {
-  Rng topo_rng(spec.seed);
-  TopologyArgs targs{spec.n, topo_rng, &spec.explicit_edges};
-  const auto& entry = topology_registry().get(spec.topology.kind);
-  TopologyResult topo = entry.factory(spec.topology.params, targs);
-  require(topo.n >= 1, "RtCluster: topology produced n < 1");
-  return topo;
-}
-
-}  // namespace
-
 RtCluster::RtCluster(const ScenarioSpec& spec, TimeSource& clock,
                      const FaultSpec& faults, std::size_t ring_capacity,
                      RtBackend backend, std::uint16_t base_port)
     : clock_(clock), backend_(backend) {
-  TopologyResult topo = resolve_topology(spec);
+  // Resolved exactly as Scenario's constructor resolves it, so the hub can
+  // be sized before any replica exists; every replica then re-derives the
+  // identical edge list.
+  TopologyResult topo = materialize_topology(spec);
   edges_ = std::move(topo.edges);
   if (backend_ == RtBackend::kPipe) {
     hub_ = std::make_unique<PipeHub>(topo.n, clock, faults, ring_capacity);

@@ -39,22 +39,23 @@ TEST(Barbell, ZeroPathJoinsCliquesDirectly) {
 }
 
 TEST(SinusoidalDriftTest, BoundedAndPeriodic) {
-  SinusoidalDrift d(0.01, 4, 100.0, 20);
+  auto d = drift_registry().get("sine").factory({{"period", "100"}, {"steps", "20"}},
+                                                DriftArgs{4, 0.01, 1});
   for (NodeId u = 0; u < 4; ++u) {
     for (double t = 0.0; t < 300.0; t += 3.7) {
-      const double r = d.rate_at(u, t);
+      const double r = d->rate_at(u, t);
       EXPECT_GE(r, 0.99 - 1e-12);
       EXPECT_LE(r, 1.01 + 1e-12);
     }
   }
   // Periodicity: rate at t and t+period match.
-  EXPECT_NEAR(d.rate_at(0, 12.0), d.rate_at(0, 112.0), 1e-12);
+  EXPECT_NEAR(d->rate_at(0, 12.0), d->rate_at(0, 112.0), 1e-12);
   // Phases differ between nodes (t=12 happens to alias for nodes 0/1, so
   // compare early in the cycle).
-  EXPECT_NE(d.rate_at(0, 2.0), d.rate_at(1, 2.0));
+  EXPECT_NE(d->rate_at(0, 2.0), d->rate_at(1, 2.0));
   // Change points at segment boundaries.
-  EXPECT_DOUBLE_EQ(d.next_change_after(0, 0.1), 5.0);
-  EXPECT_DOUBLE_EQ(d.next_change_after(0, 5.0), 10.0);
+  EXPECT_DOUBLE_EQ(d->next_change_after(0, 0.1), 5.0);
+  EXPECT_DOUBLE_EQ(d->next_change_after(0, 5.0), 10.0);
 }
 
 TEST(SinusoidalDriftTest, RunsInsideScenario) {

@@ -171,15 +171,16 @@ TEST(DistributedGskew, EstimatorAlgebra) {
 // ---------------------------------------------------------------------------
 
 TEST(ReferenceNode, DriftWrapperBoostsExactlyOneNode) {
-  auto inner = std::make_unique<LinearSpreadDrift>(0.01, 5);
-  ReferenceNodeDrift wrapped(std::move(inner), 2);
+  const auto& spread = drift_registry().get("spread");
+  const DriftArgs args{5, 0.01, 1};
+  ReferenceNodeDrift wrapped(spread.factory({}, args), 2);
   // Non-reference nodes unchanged.
-  LinearSpreadDrift expect(0.01, 5);
-  EXPECT_DOUBLE_EQ(wrapped.rate_at(0, 1.0), expect.rate_at(0, 1.0));
-  EXPECT_DOUBLE_EQ(wrapped.rate_at(4, 1.0), expect.rate_at(4, 1.0));
+  const auto expect = spread.factory({}, args);
+  EXPECT_DOUBLE_EQ(wrapped.rate_at(0, 1.0), expect->rate_at(0, 1.0));
+  EXPECT_DOUBLE_EQ(wrapped.rate_at(4, 1.0), expect->rate_at(4, 1.0));
   // Reference node boosted by (1+rho)/(1-rho).
   EXPECT_DOUBLE_EQ(wrapped.rate_at(2, 1.0),
-                   expect.rate_at(2, 1.0) * 1.01 / 0.99);
+                   expect->rate_at(2, 1.0) * 1.01 / 0.99);
   // Effective drift bound rho~ = (1+rho)^2/(1-rho) - 1.
   EXPECT_NEAR(wrapped.rho(), 1.01 * 1.01 / 0.99 - 1.0, 1e-12);
 }

@@ -69,7 +69,7 @@ struct World {
   explicit World(int n, EdgeParams edge_params, Duration tick_period = 1e6)
       : graph(sim, n, 5),
         transport(sim, graph),
-        drift(/*rho=*/0.0, /*offset=*/0.0, n),
+        drift(/*rho=*/0.0, std::vector<double>(static_cast<std::size_t>(n), 1.0)),
         estimates(graph, OracleErrorPolicy::kZero),
         gskew(10.0),
         counts(static_cast<std::size_t>(n), 0),

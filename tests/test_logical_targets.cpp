@@ -58,7 +58,8 @@ struct ProbeWorld {
 };
 
 TEST(LogicalTargets, FireExactlyAtTargetValue) {
-  ProbeWorld w(std::make_unique<ConstantDrift>(2e-3, 1.5e-3, 2));
+  ProbeWorld w(
+      std::make_unique<ConstantDrift>(2e-3, std::vector<double>{1.0 + 1.5e-3, 1.0 + 1.5e-3}));
   std::vector<double> observed;
   for (double target : {10.0, 25.0, 17.5}) {  // registered out of order
     w.probe0->api()->schedule_at_logical(
@@ -73,7 +74,7 @@ TEST(LogicalTargets, FireExactlyAtTargetValue) {
 }
 
 TEST(LogicalTargets, SurviveRateMultiplierChanges) {
-  ProbeWorld w(std::make_unique<ConstantDrift>(2e-3, 0.0, 2));
+  ProbeWorld w(std::make_unique<ConstantDrift>(2e-3, std::vector<double>{1.0, 1.0}));
   double fired_at_logical = -1.0;
   w.probe0->api()->schedule_at_logical(
       30.0, [&] { fired_at_logical = w.engine->logical(0); });
@@ -91,7 +92,8 @@ TEST(LogicalTargets, SurviveRateMultiplierChanges) {
 TEST(LogicalTargets, SurviveDriftChanges) {
   // Alternating drift changes the hardware rate every 3 time units; the
   // logical-target event must be re-aimed each time and still hit exactly.
-  ProbeWorld w(std::make_unique<AlternatingBlocksDrift>(2e-3, 2, 2, 3.0));
+  ProbeWorld w(drift_registry().get("blocks").factory({{"period", "3"}, {"blocks", "2"}},
+                                                      DriftArgs{2, 2e-3, 1}));
   double fired_at_logical = -1.0;
   w.probe0->api()->schedule_at_logical(
       20.0, [&] { fired_at_logical = w.engine->logical(0); });
@@ -100,7 +102,7 @@ TEST(LogicalTargets, SurviveDriftChanges) {
 }
 
 TEST(LogicalTargets, PastTargetFiresImmediately) {
-  ProbeWorld w(std::make_unique<ConstantDrift>(2e-3, 0.0, 2));
+  ProbeWorld w(std::make_unique<ConstantDrift>(2e-3, std::vector<double>{1.0, 1.0}));
   w.sim.run_until(10.0);
   bool fired = false;
   w.probe0->api()->schedule_at_logical(5.0, [&] { fired = true; });  // already passed
@@ -109,7 +111,7 @@ TEST(LogicalTargets, PastTargetFiresImmediately) {
 }
 
 TEST(LogicalTargets, CallbackMayScheduleFurtherTargets) {
-  ProbeWorld w(std::make_unique<ConstantDrift>(2e-3, 0.0, 2));
+  ProbeWorld w(std::make_unique<ConstantDrift>(2e-3, std::vector<double>{1.0, 1.0}));
   std::vector<double> hits;
   std::function<void(double)> chain = [&](double target) {
     w.probe0->api()->schedule_at_logical(target, [&, target] {

@@ -122,7 +122,8 @@ TEST(BuiltinRegistries, UserComponentsCanRegisterAtRuntime) {
          "all clocks perfect (test-only)",
          {},
          [](const ParamMap&, const DriftArgs& a) -> std::unique_ptr<DriftModel> {
-           return std::make_unique<ConstantDrift>(a.rho, 0.0, a.n);
+           return std::make_unique<ConstantDrift>(
+               a.rho, std::vector<double>(static_cast<std::size_t>(a.n), 1.0));
          }});
   }
   const auto& entry = drift_registry().get("test-frozen");
