@@ -308,7 +308,7 @@ bool AoptNode::bound_settles(ClockValue own) const {
       own >= level_next_min_ || params_.insertion == InsertionPolicy::kWeightDecay) {
     return false;
   }
-  const ClockValue own_hw = api_->own_hardware_value();
+  const ClockValue own_hw = api_->hardware();
   const double bound = bound_.bound(own_hw, own);
   if (!triggers_quick_reject(agg_, bound)) return false;
 #ifndef NDEBUG
@@ -345,7 +345,7 @@ void AoptNode::scan_triggers(ClockValue own) {
   OracleEstimateSource* const oracle = api_->oracle_source();
   BeaconEstimateSource* const beacon = api_->beacon_source();
   const bool decay = params_.insertion == InsertionPolicy::kWeightDecay;
-  const ClockValue own_hw = beacon != nullptr ? api_->own_hardware_value() : 0.0;
+  const ClockValue own_hw = beacon != nullptr ? api_->hardware() : 0.0;
   const std::size_t count = hot_.size();
   double max_abs = 0.0;
   double next_min = kTimeInf;

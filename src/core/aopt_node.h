@@ -113,9 +113,11 @@ class AoptNode final : public Algorithm {
   ///     under weight decay, which downgrades to per-scan recomputation.
   /// Estimates themselves are still *evaluated* every scan (they move
   /// continuously with the clocks), but through the inline fast paths
-  /// (NodeApi::peer_true_logical + OracleEstimateSource::perturb, or the
-  /// cached beacon snapshot), reading/drawing exactly what the virtual
-  /// estimate path would.
+  /// (the pure read NodeApi::peer_true_logical + OracleEstimateSource::perturb,
+  /// or the cached beacon snapshot), reading/drawing exactly what the virtual
+  /// estimate path would. The oracle path always scans: perturb keys each
+  /// uniform draw by u's draw count, so a skipped scan would shift every
+  /// later draw.
   ///
   /// Beacon mode can skip the scan altogether. There every discrepancy is
   /// est − own = c_i + d with a per-peer constant c_i = base_i − recv_hw_i

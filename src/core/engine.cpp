@@ -82,14 +82,11 @@ Engine::Engine(Simulator& sim, DynamicGraph& graph, Transport& transport,
     NodeState& state = nodes_.emplace_back(*this, u);
     NodeHot& h = hot(u);
     const double h_rate = drift_.rate_at(u, t0);
-    h.clocks.last = t0;
-    h.clocks.rate[NodeClocks::kHw] = h_rate;
-    h.clocks.rate[NodeClocks::kLog] = h_rate;  // mult=1 initially
-    h.clocks.rate[NodeClocks::kMax] = h_rate;
-    // The min estimate starts at the true minimum (0) and advances at the
-    // safe rate (1-rho)/(1+rho)*h, which cannot overtake any logical clock.
-    h.clocks.rate[NodeClocks::kMin] =
-        (1.0 - params_.rho) / (1.0 + params_.rho) * h_rate;
+    // H, L (mult=1 initially) and M run at h. The min estimate starts at the
+    // true minimum (0) and advances at the safe rate (1-rho)/(1+rho)*h,
+    // which cannot overtake any logical clock.
+    h.clocks = NodeClocks(
+        t0, {h_rate, h_rate, h_rate, (1.0 - params_.rho) / (1.0 + params_.rho) * h_rate});
     h.m_locked = true;
     state.algo = factory(u);
     require(state.algo != nullptr, "Engine: factory returned null algorithm");
@@ -153,15 +150,15 @@ void Engine::start() {
 }
 
 double Engine::unlocked_max_rate(const NodeHot& n) const {
-  return (1.0 - params_.rho) / (1.0 + params_.rho) * n.clocks.rate[NodeClocks::kHw];
+  return (1.0 - params_.rho) / (1.0 + params_.rho) * n.clocks.rate(NodeClocks::kHw);
 }
 
 bool Engine::max_locked(NodeId u) const { return hot(u).m_locked; }
 double Engine::rate_multiplier(NodeId u) const { return hot(u).mult; }
-double Engine::hardware_rate(NodeId u) const { return hot(u).clocks.rate[NodeClocks::kHw]; }
+double Engine::hardware_rate(NodeId u) const { return hot(u).clocks.rate(NodeClocks::kHw); }
 Algorithm& Engine::algorithm(NodeId u) { return *node(u).algo; }
 
-double Engine::true_global_skew() {
+double Engine::true_global_skew() const {
   double lo = kTimeInf;
   double hi = -kTimeInf;
   for (NodeId u = 0; u < size(); ++u) {
@@ -173,12 +170,11 @@ double Engine::true_global_skew() {
 }
 
 void Engine::corrupt_logical(NodeId u, ClockValue value) {
-  advance(u);
   NodeHot& n = hot(u);
   NodeState& st = node(u);
-  const ClockValue m_before = n.m_locked ? n.clocks.value[NodeClocks::kLog] : n.clocks.value[NodeClocks::kMax];
+  const ClockValue m_before = max_estimate(u);
   n.clocks.set_value(sim_.now(), NodeClocks::kLog, value);
-  if (n.clocks.value[NodeClocks::kMin] > value) n.clocks.set_value(sim_.now(), NodeClocks::kMin, value);
+  if (min_estimate(u) > value) n.clocks.set_value(sim_.now(), NodeClocks::kMin, value);
   if (value >= m_before) {
     // The paper's invariant M_u >= L_u (eq. 4) must keep holding.
     n.m_locked = true;
@@ -198,11 +194,9 @@ void Engine::corrupt_logical(NodeId u, ClockValue value) {
 }
 
 void Engine::corrupt_max_estimate(NodeId u, ClockValue value) {
-  advance(u);
   NodeHot& n = hot(u);
   NodeState& st = node(u);
-  const ClockValue l = n.clocks.value[NodeClocks::kLog];
-  if (value <= l) {
+  if (value <= logical(u)) {
     n.m_locked = true;
     if (st.mlock_event.valid()) sim_.cancel(st.mlock_event);
     st.mlock_event = EventId{};
@@ -230,7 +224,6 @@ double Engine::metric_kappa(const EdgeKey& e) {
 }
 
 void Engine::on_edge_discovered(NodeId u, NodeId peer) {
-  advance(u);
   kappa_cache_.erase(EdgeKey(u, peer));  // belt-and-braces vs ε policy changes
   // Partial replica: mirror nodes track topology but never run algorithm
   // logic — a mirror reacting to an edge event would send from a node this
@@ -241,7 +234,6 @@ void Engine::on_edge_discovered(NodeId u, NodeId peer) {
 }
 
 void Engine::on_edge_lost(NodeId u, NodeId peer) {
-  advance(u);
   estimates_.on_edge_lost(u, peer);
   if (!executes(u)) return;
   node(u).algo->on_edge_lost(peer);
@@ -249,7 +241,6 @@ void Engine::on_edge_lost(NodeId u, NodeId peer) {
 }
 
 void Engine::apply_drift(NodeId u) {
-  advance(u);
   NodeHot& n = hot(u);
   const double h_rate = drift_.rate_at(u, sim_.now());
   n.clocks.set_rate(sim_.now(), NodeClocks::kHw, h_rate);
@@ -322,11 +313,7 @@ void Engine::schedule_beacon(NodeId u, Duration delay) {
 }
 
 void Engine::fire_beacon(NodeId u) {
-  advance(u);
-  NodeHot& n = hot(u);
-  const Beacon beacon{n.clocks.value[NodeClocks::kLog],
-                      n.m_locked ? n.clocks.value[NodeClocks::kLog] : n.clocks.value[NodeClocks::kMax],
-                      n.clocks.value[NodeClocks::kMin]};
+  const Beacon beacon{logical(u), max_estimate(u), min_estimate(u)};
   // view_neighbors is sorted by id, so the fan-out order — and with it the
   // sequence of RNG-drawn transport delays — is stdlib-independent.
   transport_.send_fanout(u, graph_.view_neighbors(u), beacon);
@@ -357,20 +344,18 @@ void Engine::reschedule_logical_event(NodeId u) {
     }
     return;
   }
-  NodeClocks& clocks = hot(u).clocks;
-  clocks.advance(sim_.now());
-  const Time fire_at = clocks.time_of_value(NodeClocks::kLog, n.logical_targets.front().at);
+  const Time fire_at = hot(u).clocks.time_of_value(
+      NodeClocks::kLog, n.logical_targets.front().at, sim_.now());
   if (n.logical_event.valid() && sim_.reschedule(n.logical_event, fire_at)) return;
   n.logical_event = sim_.schedule_event_at(
       fire_at, SimEvent::node_event(EventKind::kLogicalTarget, channel_, u));
 }
 
 void Engine::fire_logical_targets(NodeId u) {
-  advance(u);
   NodeState& n = node(u);
   n.logical_event = EventId{};
   // Fire every target at or (within float fuzz) below the current L.
-  const ClockValue l = hot(u).clocks.value[NodeClocks::kLog];
+  const ClockValue l = logical(u);
   const ClockValue fuzz = 1e-9 * (std::fabs(l) + 1.0);
   // Collect the due targets before running any (they may schedule more).
   // The scratch buffer is moved out for the duration of the calls so a
@@ -401,17 +386,16 @@ void Engine::reschedule_mlock(NodeId u) {
     }
     return;
   }
-  const double l_rate = n.clocks.rate[NodeClocks::kLog];
-  const double m_rate = n.clocks.rate[NodeClocks::kMax];
-  const double gap = n.clocks.value_at(NodeClocks::kMax, sim_.now()) -
-      n.clocks.value_at(NodeClocks::kLog, sim_.now());
+  const double l_rate = n.clocks.rate(NodeClocks::kLog);
+  const double m_rate = n.clocks.rate(NodeClocks::kMax);
+  const double gap = n.clocks.at(NodeClocks::kMax, sim_.now()) -
+      n.clocks.at(NodeClocks::kLog, sim_.now());
   if (gap <= 0.0) {
     // Degenerate (value corruption): lock immediately.
     if (st.mlock_event.valid()) {
       sim_.cancel(st.mlock_event);
       st.mlock_event = EventId{};
     }
-    advance(u);
     n.m_locked = true;
     return;
   }
@@ -423,18 +407,15 @@ void Engine::reschedule_mlock(NodeId u) {
 }
 
 void Engine::fire_mlock(NodeId u) {
-  advance(u);
   node(u).mlock_event = EventId{};
   hot(u).m_locked = true;  // from now on M_u tracks L_u exactly
   mark_dirty(u);
 }
 
 bool Engine::apply_max_candidate(NodeId u, ClockValue candidate) {
-  advance(u);
   NodeHot& n = hot(u);
-  const ClockValue l = n.clocks.value[NodeClocks::kLog];
   if (n.m_locked) {
-    if (candidate > l) {
+    if (candidate > logical(u)) {
       n.m_locked = false;
       n.clocks.set_value(sim_.now(), NodeClocks::kMax, candidate);
       n.clocks.set_rate(sim_.now(), NodeClocks::kMax, unlocked_max_rate(n));
@@ -446,7 +427,7 @@ bool Engine::apply_max_candidate(NodeId u, ClockValue candidate) {
     }
     return false;
   }
-  if (candidate > n.clocks.value[NodeClocks::kMax]) {
+  if (candidate > n.clocks.at(NodeClocks::kMax, sim_.now())) {
     n.clocks.set_value(sim_.now(), NodeClocks::kMax, candidate);
     reschedule_mlock(u);
     if (observer_ != nullptr) {
@@ -461,21 +442,17 @@ void Engine::set_rate_multiplier(NodeId u, double mult) {
   require(mult > 0.0, "Engine: rate multiplier must be positive");
   NodeHot& n = hot(u);
   if (n.mult == mult) return;
-  advance(u);
   if (observer_ != nullptr) observer_->on_mode_change(sim_.now(), u, n.mult, mult);
   n.mult = mult;
-  n.clocks.set_rate(sim_.now(), NodeClocks::kLog, mult * n.clocks.rate[NodeClocks::kHw]);
+  n.clocks.set_rate(sim_.now(), NodeClocks::kLog, mult * n.clocks.rate(NodeClocks::kHw));
   reschedule_logical_event(u);
   reschedule_mlock(u);
 }
 
 void Engine::set_logical_value(NodeId u, ClockValue v) {
-  advance(u);
   NodeHot& n = hot(u);
-  const ClockValue m_before = n.m_locked ? n.clocks.value[NodeClocks::kLog] : n.clocks.value[NodeClocks::kMax];
-  if (observer_ != nullptr) {
-    observer_->on_logical_jump(sim_.now(), u, n.clocks.value[NodeClocks::kLog], v);
-  }
+  const ClockValue m_before = max_estimate(u);
+  if (observer_ != nullptr) observer_->on_logical_jump(sim_.now(), u, logical(u), v);
   n.clocks.set_value(sim_.now(), NodeClocks::kLog, v);
   if (v >= m_before) {
     n.m_locked = true;
@@ -492,7 +469,6 @@ void Engine::reevaluate(NodeId u) {
   NodeState& n = node(u);
   if (n.in_reevaluate) return;
   n.in_reevaluate = true;
-  advance(u);
   n.algo->reevaluate();
   n.in_reevaluate = false;
 }
@@ -518,7 +494,6 @@ void Engine::flush_dirty() {
 }
 
 void Engine::on_delivery(const Delivery& d) {
-  advance(d.to);
   // Track whether this delivery changed any *discrete* trigger input of the
   // receiver. Only then does the instant's evaluation need to cover it —
   // continuous drift between discrete changes is the tick's job (footnote 6).
@@ -540,11 +515,10 @@ void Engine::on_delivery(const Delivery& d) {
     // drift-discounted transit floor, is still a lower bound on min_v L_v.
     // m_u feeds the distributed G̃ (read during handshakes), not the
     // triggers, so raising it does not dirty the node.
-    NodeHot& receiver = hot(d.to);
     const ClockValue min_candidate =
         beacon->min_estimate + (1.0 - params_.rho) * d.known_min_delay;
-    if (min_candidate > receiver.clocks.value[NodeClocks::kMin]) {
-      receiver.clocks.set_value(sim_.now(), NodeClocks::kMin, min_candidate);
+    if (min_candidate > min_estimate(d.to)) {
+      hot(d.to).clocks.set_value(sim_.now(), NodeClocks::kMin, min_candidate);
     }
   } else if (const auto* ins = std::get_if<InsertEdgeMsg>(d.payload)) {
     node(d.to).algo->on_insert_edge_msg(d.from, *ins);

@@ -4,11 +4,13 @@
 // graph/transport events to per-node algorithm instances.
 //
 // All continuous dynamics in the model are piecewise linear, so the engine
-// simulates them *exactly*: clock values are lazily integrated and
-// crossings that matter to the protocol (neighbor-set insertion times T_s,
-// the moment M_u is caught by L_u) are computed analytically and scheduled
-// as events. Trigger threshold crossings that involve other nodes' estimates
-// are handled by guard-banded re-evaluation plus a periodic tick, exactly as
+// simulates them *exactly*: each node's clocks are one NodeClocks record
+// that is integrated only at a rate or value change and read as a pure
+// extrapolation from it (clock/node_clocks.h), and crossings that matter
+// to the protocol (neighbor-set insertion times T_s, the moment M_u is
+// caught by L_u) are computed analytically and scheduled as events.
+// Trigger threshold crossings that involve other nodes' estimates are
+// handled by guard-banded re-evaluation plus a periodic tick, exactly as
 // the paper's footnote 6 prescribes for implementations. Evaluation is
 // *instant-coalesced*: within one simulated instant every delivery/timer
 // effect applies first, and each node whose discrete trigger inputs changed
@@ -24,9 +26,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include <stdexcept>
-
 #include "clock/drift.h"
+#include "clock/node_clocks.h"
 #include "core/params.h"
 #include "estimate/estimate_source.h"
 #include "graph/dynamic_graph.h"
@@ -47,10 +48,10 @@ class NodeApi {
   [[nodiscard]] Time now() const;
   [[nodiscard]] const AlgoParams& algo_params() const;
 
-  /// Current clock values (lazily advanced to now).
-  ClockValue logical();
-  ClockValue hardware();
-  ClockValue max_estimate();
+  /// Current clock values (pure reads at now()).
+  [[nodiscard]] ClockValue logical() const;
+  [[nodiscard]] ClockValue hardware() const;
+  [[nodiscard]] ClockValue max_estimate() const;
   /// True iff M_u == L_u (maintained symbolically, no float equality).
   [[nodiscard]] bool max_locked() const;
 
@@ -85,14 +86,9 @@ class NodeApi {
   /// both null means the algorithm must use neighbor_estimate (generic).
   [[nodiscard]] OracleEstimateSource* oracle_source() const;
   [[nodiscard]] BeaconEstimateSource* beacon_source() const;
-  /// True logical clock of a peer, advanced exactly as the oracle source's
-  /// ClockAccess read would (mutating v's lazy integration state — call it
-  /// precisely where the oracle source's estimate() would have read it).
-  ClockValue peer_true_logical(NodeId v);
-  /// Own hardware clock value, without re-advancing: valid inside
-  /// Algorithm::reevaluate(), which the engine always enters with this
-  /// node's clocks integrated to now().
-  [[nodiscard]] ClockValue own_hardware_value() const;
+  /// True logical clock of a peer: the value the oracle source's
+  /// ClockAccess read returns.
+  [[nodiscard]] ClockValue peer_true_logical(NodeId v) const;
 
  private:
   Engine& engine_;
@@ -200,20 +196,19 @@ class Engine final : public DynamicGraph::Listener,
   [[nodiscard]] const AlgoParams& params() const { return params_; }
   [[nodiscard]] const EngineConfig& config() const { return config_; }
 
-  // Clock reads are defined inline (after the class): they run several
-  // times per event inside the re-evaluation scan.
-  ClockValue logical(NodeId u);
-  /// Logical clock of u extrapolated to now() WITHOUT advancing the lazy
-  /// integration state — a pure read for passive observers (the trajectory
-  /// fingerprinter). logical(u) advances (mutates) the accumulation state,
-  /// so an observer calling it would change the float path of the very run
-  /// it observes; this read is guaranteed side-effect-free.
-  [[nodiscard]] ClockValue peek_logical(NodeId u) const;
-  ClockValue hardware(NodeId u);
-  ClockValue max_estimate(NodeId u);
+  // Clock reads at now(): pure extrapolations of the node's NodeClocks, so
+  // any observer may call them without changing the run. Defined inline
+  // (after the class): they run several times per event inside the
+  // re-evaluation scan.
+  [[nodiscard]] ClockValue logical(NodeId u) const;
+  /// Same as logical(u). Kept only for perfbench's island sampler; the next
+  /// benchmark refresh switches it to logical(u) and deletes this.
+  [[nodiscard]] ClockValue peek_logical(NodeId u) const { return logical(u); }
+  [[nodiscard]] ClockValue hardware(NodeId u) const;
+  [[nodiscard]] ClockValue max_estimate(NodeId u) const;
   /// Flooded lower bound on the network-wide minimum logical clock
   /// (symmetric to M_u; substrate for distributed G̃_u(t), §7).
-  ClockValue min_estimate(NodeId u);
+  [[nodiscard]] ClockValue min_estimate(NodeId u) const;
   /// ε_e the estimate layer guarantees for this edge (metrics access).
   [[nodiscard]] double edge_eps(const EdgeKey& e) const { return estimates_.eps(e); }
   /// κ_e as the metrics layer defines it: AOPT's eq. 9 derivation from the
@@ -227,7 +222,7 @@ class Engine final : public DynamicGraph::Listener,
   Algorithm& algorithm(NodeId u);
 
   /// max_u L_u - min_u L_u at the current instant.
-  double true_global_skew();
+  [[nodiscard]] double true_global_skew() const;
 
   /// Fault injection: overwrite L_u (M_u is raised to keep M >= L, and the
   /// node's own min estimate is lowered if needed). Note: a *downward*
@@ -239,8 +234,8 @@ class Engine final : public DynamicGraph::Listener,
   void corrupt_max_estimate(NodeId u, ClockValue value);
 
   // ---------------------------------------------------------- ClockAccess
-  ClockValue true_logical(NodeId u) override { return logical(u); }
-  ClockValue true_hardware(NodeId u) override { return hardware(u); }
+  ClockValue true_logical(NodeId u) const override { return logical(u); }
+  ClockValue true_hardware(NodeId u) const override { return hardware(u); }
 
   // ---------------------------------------------------------- ProbeSender
   bool send_time_request(NodeId from, NodeId to, const TimeRequest& req) override;
@@ -274,57 +269,13 @@ class Engine final : public DynamicGraph::Listener,
     }
   };
 
-  /// The four piecewise-linear clocks of one node — hardware H_u, logical
-  /// L_u, max estimate M_u, min estimate m_u — stored structure-of-arrays
-  /// with one shared last-update instant, so a single advance integrates all
-  /// four (vectorizable, one branch). The per-clock arithmetic is identical
-  /// to PiecewiseLinearClock. M_u is integrated even while locked (its slot
-  /// is dead data then: every unlock transition rewrites value and rate).
-  struct NodeClocks {
-    enum : int { kHw = 0, kLog = 1, kMax = 2, kMin = 3 };
-    double value[4] = {0.0, 0.0, 0.0, 0.0};
-    double rate[4] = {1.0, 1.0, 1.0, 1.0};
-    Time last = 0.0;
-
-    void advance(Time t) {
-      if (t < last) {
-        require(last - t <= 1e-9 * (last + 1.0), "NodeClocks: time went backwards");
-        return;
-      }
-      const double dt = t - last;
-      value[0] += rate[0] * dt;
-      value[1] += rate[1] * dt;
-      value[2] += rate[2] * dt;
-      value[3] += rate[3] * dt;
-      last = t;
-    }
-    [[nodiscard]] double value_at(int clock, Time t) const {
-      return value[clock] + rate[clock] * (t - last);
-    }
-    /// Advance to t, then change one clock's rate / override one value.
-    void set_rate(Time t, int clock, double r) {
-      advance(t);
-      rate[clock] = r;
-    }
-    void set_value(Time t, int clock, double v) {
-      advance(t);
-      value[clock] = v;
-    }
-    /// Time at which `clock` reaches `target` (>= its value), assuming the
-    /// rate never changes. Requires a positive rate.
-    [[nodiscard]] Time time_of_value(int clock, double target) const {
-      if (rate[clock] <= 0.0) throw std::logic_error("time_of_value: non-positive rate");
-      if (target <= value[clock]) return last;
-      return last + (target - value[clock]) / rate[clock];
-    }
-  };
-
-  /// The hot per-node record: the four clocks plus the two scalars read on
-  /// every clock access, stored in a DENSE array separate from the cold
-  /// NodeState. Every event advances the clocks of several nodes (receiver
-  /// plus scanned peers), so packing them 96 bytes apart instead of inside
-  /// the ~180-byte NodeState roughly halves the cache lines that scan
-  /// touches — the engine-side counterpart of the kernel's SoA slots.
+  /// The hot per-node record: the four clocks (M_u's slot is dead data while
+  /// locked: every unlock transition rewrites its value and rate) plus the
+  /// two scalars read on every clock access, stored in a DENSE array separate
+  /// from the cold NodeState. Every event reads the clocks of several nodes
+  /// (receiver plus scanned peers), so packing them densely instead of
+  /// inside the ~180-byte NodeState roughly halves the cache lines that
+  /// scan touches — the engine-side counterpart of the kernel's SoA slots.
   struct NodeHot {
     NodeClocks clocks;
     double mult = 1.0;
@@ -357,8 +308,6 @@ class Engine final : public DynamicGraph::Listener,
     return hot_[static_cast<std::size_t>(u)];
   }
 
-  /// Integrate all three clocks of u up to now.
-  void advance(NodeId u);
   /// M_u rate while unlocked: (1-rho)/(1+rho) * h_u (paper §4.2).
   [[nodiscard]] double unlocked_max_rate(const NodeHot& n) const;
   void apply_drift(NodeId u);
@@ -431,39 +380,21 @@ class Engine final : public DynamicGraph::Listener,
 // ---------------------------------------------------------------------------
 // Engine hot-path inlines (clock reads used several times per event).
 
-inline void Engine::advance(NodeId u) {
-  NodeHot& n = hot(u);
-  const Time t = sim_.now();
-  // Most events advance the same node several times at one instant
-  // (delivery -> max candidate -> reevaluate); integrating is idempotent,
-  // so skip the repeat work.
-  if (n.clocks.last == t) return;
-  n.clocks.advance(t);
+inline ClockValue Engine::logical(NodeId u) const {
+  return hot(u).clocks.at(NodeClocks::kLog, sim_.now());
 }
 
-inline ClockValue Engine::logical(NodeId u) {
-  advance(u);
-  return hot(u).clocks.value[NodeClocks::kLog];
+inline ClockValue Engine::hardware(NodeId u) const {
+  return hot(u).clocks.at(NodeClocks::kHw, sim_.now());
 }
 
-inline ClockValue Engine::hardware(NodeId u) {
-  advance(u);
-  return hot(u).clocks.value[NodeClocks::kHw];
+inline ClockValue Engine::max_estimate(NodeId u) const {
+  const NodeHot& n = hot(u);
+  return n.clocks.at(n.m_locked ? NodeClocks::kLog : NodeClocks::kMax, sim_.now());
 }
 
-inline ClockValue Engine::peek_logical(NodeId u) const {
-  return hot(u).clocks.value_at(NodeClocks::kLog, sim_.now());
-}
-
-inline ClockValue Engine::max_estimate(NodeId u) {
-  advance(u);
-  NodeHot& n = hot(u);
-  return n.m_locked ? n.clocks.value[NodeClocks::kLog] : n.clocks.value[NodeClocks::kMax];
-}
-
-inline ClockValue Engine::min_estimate(NodeId u) {
-  advance(u);
-  return hot(u).clocks.value[NodeClocks::kMin];
+inline ClockValue Engine::min_estimate(NodeId u) const {
+  return hot(u).clocks.at(NodeClocks::kMin, sim_.now());
 }
 
 // ---------------------------------------------------------------------------
@@ -472,9 +403,9 @@ inline ClockValue Engine::min_estimate(NodeId u) {
 // NodeApi -> Engine -> estimate-source call chain.
 
 inline Time NodeApi::now() const { return engine_.sim_.now(); }
-inline ClockValue NodeApi::logical() { return engine_.logical(id_); }
-inline ClockValue NodeApi::hardware() { return engine_.hardware(id_); }
-inline ClockValue NodeApi::max_estimate() { return engine_.max_estimate(id_); }
+inline ClockValue NodeApi::logical() const { return engine_.logical(id_); }
+inline ClockValue NodeApi::hardware() const { return engine_.hardware(id_); }
+inline ClockValue NodeApi::max_estimate() const { return engine_.max_estimate(id_); }
 inline bool NodeApi::max_locked() const { return engine_.max_locked(id_); }
 inline double NodeApi::rate_multiplier() const { return engine_.hot(id_).mult; }
 
@@ -486,16 +417,6 @@ inline BeaconEstimateSource* NodeApi::beacon_source() const {
   return engine_.beacon_estimates_;
 }
 
-inline ClockValue NodeApi::peer_true_logical(NodeId v) {
-  // Exactly Engine::logical(v): the advance mutates the peer's lazy clock
-  // state on purpose — skipping it would change the float accumulation path
-  // of later reads.
-  return engine_.logical(v);
-}
-
-inline ClockValue NodeApi::own_hardware_value() const {
-  return engine_.hot_[static_cast<std::size_t>(id_)]
-      .clocks.value[Engine::NodeClocks::kHw];
-}
+inline ClockValue NodeApi::peer_true_logical(NodeId v) const { return engine_.logical(v); }
 
 }  // namespace gcs

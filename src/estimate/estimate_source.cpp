@@ -20,14 +20,8 @@ std::optional<ClockValue> OracleEstimateSource::estimate(NodeId u, NodeId v) {
   require(clocks_ != nullptr, "OracleEstimateSource: bind() not called");
   const NeighborView* nv = graph_.find_neighbor(u, v);
   if (nv == nullptr) return std::nullopt;
-  const ClockValue truth = clocks_->true_logical(v);
-  // true_logical(u) advances u's lazy clock state; only the adversarial
-  // policy may read it (perturb ignores `mine` otherwise, and an eager read
-  // here would perturb the engine's float accumulation order).
-  const ClockValue mine = policy_ == OracleErrorPolicy::kAdversarial
-                              ? clocks_->true_logical(u)
-                              : 0.0;
-  return perturb(u, v, truth, mine, nv->params->eps);
+  return perturb(u, v, clocks_->true_logical(v), clocks_->true_logical(u),
+                 nv->params->eps);
 }
 
 double OracleEstimateSource::eps(const EdgeKey& e) const {

@@ -25,11 +25,12 @@
 namespace gcs {
 
 /// Engine-provided access to true clock values (simulation-side knowledge).
+/// Pure reads: calling them never changes the run.
 class ClockAccess {
  public:
   virtual ~ClockAccess() = default;
-  [[nodiscard]] virtual ClockValue true_logical(NodeId u) = 0;
-  [[nodiscard]] virtual ClockValue true_hardware(NodeId u) = 0;
+  [[nodiscard]] virtual ClockValue true_logical(NodeId u) const = 0;
+  [[nodiscard]] virtual ClockValue true_hardware(NodeId u) const = 0;
 };
 
 /// Engine-provided send capability for probe-driven estimate sources (the
@@ -48,7 +49,7 @@ class EstimateSource {
   virtual ~EstimateSource() = default;
 
   /// Bind simulation-side clock access; must be called before use.
-  virtual void bind(ClockAccess* clocks) { clocks_ = clocks; }
+  virtual void bind(const ClockAccess* clocks) { clocks_ = clocks; }
 
   /// L̃ᵛᵤ at the current time; nullopt if no estimate is available yet.
   [[nodiscard]] virtual std::optional<ClockValue> estimate(NodeId u, NodeId v) = 0;
@@ -75,7 +76,7 @@ class EstimateSource {
   }
 
  protected:
-  ClockAccess* clocks_ = nullptr;
+  const ClockAccess* clocks_ = nullptr;
 };
 
 /// Error policy for the oracle source.

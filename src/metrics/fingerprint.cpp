@@ -54,7 +54,7 @@ void TrajectoryFingerprinter::attach(Scenario& scenario, KernelTraceSink* chain)
 void TrajectoryFingerprinter::on_event_fired(Time t, NodeId node, EventKind kind) {
   const std::int64_t q =
       engine_ != nullptr && node != kNoNode
-          ? quantize(engine_->peek_logical(node))
+          ? quantize(engine_->logical(node))
           : 0;
   hash_ = fold(hash_, std::bit_cast<std::uint64_t>(t), node, kind, q);
   ++events_;
@@ -87,11 +87,11 @@ class IslandLogSink final : public KernelTraceSink {
     std::int64_t qlogical = 0;
   };
 
-  explicit IslandLogSink(Engine& engine) : engine_(&engine) {}
+  explicit IslandLogSink(const Engine& engine) : engine_(&engine) {}
 
   void on_event_fired(Time t, NodeId node, EventKind kind) override {
     const std::int64_t q =
-        node != kNoNode ? TrajectoryFingerprinter::quantize(engine_->peek_logical(node))
+        node != kNoNode ? TrajectoryFingerprinter::quantize(engine_->logical(node))
                         : 0;
     entries_.push_back({t, node, kind, q});
   }
@@ -99,7 +99,7 @@ class IslandLogSink final : public KernelTraceSink {
   [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
 
  private:
-  Engine* engine_;
+  const Engine* engine_;
   std::vector<Entry> entries_;
 };
 

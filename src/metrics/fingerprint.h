@@ -18,13 +18,12 @@
 //
 // ## What the hash reads, and why it cannot perturb the run
 //
-// The logical clock is read through Engine::peek_logical — a CONST
-// extrapolation of the node's piecewise-linear clock to now() that does
-// NOT advance the lazy integration state. Calling Engine::logical from an
-// observer would advance (mutate) the clock at observation instants,
-// changing the float accumulation path of the run being observed; the
-// fingerprinter must be attachable without changing a single bit of the
-// trajectory, or the pin is worthless.
+// The logical clock is read through Engine::logical, and every engine clock
+// read is pure: a const extrapolation of the node's NodeClocks record to
+// now() (clock/node_clocks.h); only a rate or value change integrates. The
+// fingerprinter holds a const Engine*, so it is attachable without changing
+// a single bit of the trajectory — otherwise the pin would be worthless —
+// and so is any other sampler (FingerprintInvariance.SamplingDoesNotPerturb).
 //
 // ## Quantization
 //
@@ -70,7 +69,7 @@ class TrajectoryFingerprinter final : public KernelTraceSink {
   /// Observe `engine`, forwarding every event to `chain` (optional), so the
   /// fingerprinter can share the single kernel-trace slot with another sink
   /// (test_fingerprint's per-row event dump does this).
-  explicit TrajectoryFingerprinter(Engine& engine, KernelTraceSink* chain = nullptr)
+  explicit TrajectoryFingerprinter(const Engine& engine, KernelTraceSink* chain = nullptr)
       : engine_(&engine), chain_(chain) {}
 
   /// Install this sink on the scenario's engine AND transport trace hooks.
@@ -98,7 +97,7 @@ class TrajectoryFingerprinter final : public KernelTraceSink {
                                           std::int64_t qlogical);
 
  private:
-  Engine* engine_ = nullptr;
+  const Engine* engine_ = nullptr;
   KernelTraceSink* chain_ = nullptr;
   std::uint64_t hash_ = 0x9e3779b97f4a7c15ULL;  ///< non-zero seed
   std::uint64_t events_ = 0;

@@ -98,8 +98,10 @@ TEST(AoptUnit, BeaconTriggersFireAroundTheCertifiedBound) {
   // Beacon estimates on a complete graph: once the run settles, the bound
   // fast path decides most re-evaluations. Node 0 is then pushed 3κ ahead
   // and node 1 3κ behind, so both gradient triggers must fire, at levels
-  // >= 2 too. The pinned hash and event count were recorded on the tree
-  // before the fast path existed: taking it changes no trajectory bit.
+  // >= 2 too. The pinned event count was recorded on the tree before the
+  // fast path existed, and the hash was re-recorded (same count) when clock
+  // reads became pure; the same run with the fast path switched off gives
+  // both: taking it changes no trajectory bit.
   ScenarioSpec cfg;
   cfg.n = 8;
   cfg.topology = ComponentSpec("complete");
@@ -119,7 +121,7 @@ TEST(AoptUnit, BeaconTriggersFireAroundTheCertifiedBound) {
     s.engine().corrupt_logical(1, s.engine().logical(1) - 3.0 * kappa);
   });
   const FingerprintResult r = fingerprint_run(s, 80.0);
-  EXPECT_EQ(r.hash, 0xbce7a34e5693d5acULL);
+  EXPECT_EQ(r.hash, 0xb2478a959361eccbULL);
   EXPECT_EQ(r.events, 23031u);
 
   EXPECT_GT(settled_before, 0);
@@ -180,8 +182,8 @@ TEST(AoptUnit, BeaconLevelCrossingReachesTheTriggers) {
 }
 
 TEST(AoptUnit, BoundSettledOnlyUnderBeaconEstimates) {
-  // The oracle path keeps the full scan: reading a peer's true clock
-  // advances its lazy state, so no re-evaluation may skip it.
+  // The oracle path keeps the full scan: each uniform draw is keyed by the
+  // node's draw count, so a skipped re-evaluation would shift later draws.
   auto cfg = tiny(4);
   cfg.estimates = ComponentSpec("uniform");
   Scenario oracle(cfg);

@@ -1,48 +1,81 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "clock/drift.h"
-#include "clock/piecewise_clock.h"
+#include "clock/node_clocks.h"
 
 namespace gcs {
 namespace {
 
-TEST(PiecewiseClock, IntegratesLinearly) {
-  PiecewiseLinearClock c(0.0, 0.0, 2.0);
-  c.advance(3.0);
-  EXPECT_DOUBLE_EQ(c.value(), 6.0);
-  EXPECT_DOUBLE_EQ(c.value_at(4.0), 8.0);
+/// A record whose four clocks all start at 0 from t = 0 at rate `r`.
+NodeClocks all_at_rate(double r) { return NodeClocks(0.0, {r, r, r, r}); }
+
+TEST(NodeClocks, IntegratesLinearly) {
+  for (int k = 0; k < 4; ++k) {
+    const NodeClocks c = all_at_rate(2.0);
+    EXPECT_DOUBLE_EQ(c.at(k, 3.0), 6.0) << "slot " << k;
+    EXPECT_DOUBLE_EQ(c.at(k, 4.0), 8.0) << "slot " << k;
+  }
 }
 
-TEST(PiecewiseClock, RateChangeIsPiecewise) {
-  PiecewiseLinearClock c(0.0, 0.0, 1.0);
-  c.set_rate(2.0, 3.0);  // value 2 at t=2, then rate 3
-  c.advance(4.0);
-  EXPECT_DOUBLE_EQ(c.value(), 2.0 + 3.0 * 2.0);
+TEST(NodeClocks, RateChangeIsPiecewise) {
+  for (int k = 0; k < 4; ++k) {
+    NodeClocks c = all_at_rate(1.0);
+    c.set_rate(2.0, k, 3.0);  // value 2 at t=2, then rate 3
+    EXPECT_DOUBLE_EQ(c.at(k, 4.0), 2.0 + 3.0 * 2.0) << "slot " << k;
+    for (int j = 0; j < 4; ++j) {
+      if (j != k) {
+        EXPECT_DOUBLE_EQ(c.at(j, 4.0), 4.0) << "slot " << j << " after slot " << k;
+      }
+    }
+  }
 }
 
-TEST(PiecewiseClock, SetValueOverrides) {
-  PiecewiseLinearClock c(0.0, 0.0, 1.0);
-  c.set_value(1.0, 100.0);
-  c.advance(2.0);
-  EXPECT_DOUBLE_EQ(c.value(), 101.0);
+TEST(NodeClocks, SetValueOverrides) {
+  for (int k = 0; k < 4; ++k) {
+    NodeClocks c = all_at_rate(1.0);
+    c.set_value(1.0, k, 100.0);
+    EXPECT_DOUBLE_EQ(c.at(k, 2.0), 101.0) << "slot " << k;
+    for (int j = 0; j < 4; ++j) {
+      if (j != k) {
+        EXPECT_DOUBLE_EQ(c.at(j, 2.0), 2.0) << "slot " << j << " after slot " << k;
+      }
+    }
+  }
 }
 
-TEST(PiecewiseClock, TimeOfValueInvertsCorrectly) {
-  PiecewiseLinearClock c(5.0, 10.0, 2.0);
-  EXPECT_DOUBLE_EQ(c.time_of_value(16.0), 8.0);
-  EXPECT_DOUBLE_EQ(c.time_of_value(10.0), 5.0);  // already reached
-  EXPECT_DOUBLE_EQ(c.time_of_value(4.0), 5.0);   // already passed
+TEST(NodeClocks, TimeOfValueInvertsCorrectly) {
+  for (int k = 0; k < 4; ++k) {
+    NodeClocks c = all_at_rate(2.0);
+    c.set_rate(5.0, k, 2.0);  // breakpoint at t=5 with value 10
+    EXPECT_DOUBLE_EQ(c.time_of_value(k, 16.0, 5.0), 8.0) << "slot " << k;
+    EXPECT_DOUBLE_EQ(c.time_of_value(k, 10.0, 5.0), 5.0) << "slot " << k;  // already reached
+    EXPECT_DOUBLE_EQ(c.time_of_value(k, 4.0, 5.0), 5.0) << "slot " << k;   // already passed
+  }
 }
 
-TEST(PiecewiseClock, BackwardsTimeThrows) {
-  PiecewiseLinearClock c(10.0, 0.0, 1.0);
-  EXPECT_THROW(c.advance(5.0), std::invalid_argument);
-  EXPECT_NO_THROW(c.advance(10.0 - 1e-12));  // float fuzz tolerated
+TEST(NodeClocks, TimeOfValueIsMeasuredFromNow) {
+  // Breakpoint at t=0 (value 0), read at now=10 (value 10): a target the
+  // clock passed after its breakpoint is due now, not at a past time.
+  for (int k = 0; k < 4; ++k) {
+    const NodeClocks c = all_at_rate(1.0);
+    EXPECT_DOUBLE_EQ(c.time_of_value(k, 5.0, 10.0), 10.0) << "slot " << k;
+    EXPECT_DOUBLE_EQ(c.time_of_value(k, 12.0, 10.0), 12.0) << "slot " << k;
+  }
+}
+
+TEST(NodeClocks, BackwardsTimeThrows) {
+  for (int k = 0; k < 4; ++k) {
+    NodeClocks c = all_at_rate(1.0);
+    c.set_rate(10.0, k, 1.0);
+    EXPECT_THROW(c.set_rate(5.0, k, 1.0), std::runtime_error) << "slot " << k;
+    EXPECT_NO_THROW(c.set_value(10.0 - 1e-12, k, 10.0)) << "slot " << k;  // float fuzz tolerated
+  }
 }
 
 /// A built-in drift kind, built through the registry as a Scenario builds it.

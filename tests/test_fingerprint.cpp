@@ -42,6 +42,8 @@
 #include <vector>
 
 #include "fingerprint_common.h"
+#include "metrics/legality.h"
+#include "metrics/skew.h"
 #include "runner/island_runner.h"
 #include "runner/sweep.h"
 
@@ -138,8 +140,9 @@ TEST(Fingerprint, FoldIsOrderAndFieldSensitive) {
 }
 
 TEST(Fingerprint, AttachingTheObserverDoesNotPerturbTheRun) {
-  // The whole point of peek_logical: a fingerprinted run and a bare run of
-  // the same spec must end in bit-identical clocks.
+  // The fingerprinter reads clocks through the pure Engine::logical: a
+  // fingerprinted run and a bare run of the same spec must end in
+  // bit-identical clocks.
   const ScenarioSpec spec = fptable::kernel_trace_reference_spec();
   Scenario bare(spec);
   bare.start();
@@ -478,6 +481,31 @@ TEST(FingerprintInvariance, LockstepRtRowsAreReproducible) {
     EXPECT_EQ(a.hash, b.hash) << "rt row '" << c.name << "' not reproducible";
     EXPECT_EQ(a.events, b.events);
     EXPECT_GT(a.events, 0u);
+  }
+}
+
+TEST(FingerprintInvariance, SamplingDoesNotPerturb) {
+  // Every clock read is pure, so the samplers the claims, the ledger and the
+  // runtime cluster run — whole-network reads every 0.5 model-s — measure
+  // exactly the pinned trajectory.
+  std::map<std::string, Row> pinned;
+  for (const Row& row : fptable::load_table()) pinned[row.name] = row;
+  for (const Case& c : sim_cases()) {
+    ASSERT_EQ(pinned.count(c.name), 1u) << "catalog row '" << c.name << "' is not pinned";
+    Scenario scenario(c.spec);
+    TrajectoryFingerprinter fp;
+    fp.attach(scenario);
+    scenario.start();
+    for (int i = 1; 0.5 * i < c.horizon; ++i) {
+      scenario.run_until(0.5 * i);
+      (void)scenario.engine().true_global_skew();
+      (void)measure_skew(scenario.engine());
+      (void)check_legality(scenario.engine(), scenario.spec().aopt.gtilde_static);
+    }
+    scenario.run_until(c.horizon);
+    EXPECT_EQ(fp.value(), pinned.at(c.name).hash)
+        << "sampling every 0.5 model-s moved row '" << c.name << "'";
+    EXPECT_EQ(fp.events(), pinned.at(c.name).events) << "row '" << c.name << "'";
   }
 }
 
