@@ -255,7 +255,7 @@ void AoptNode::report_trigger_conflict() {
 }
 
 void AoptNode::rebuild_hot(ClockValue own) {
-  BeaconEstimateSource* const beacon = api_->beacon_source();
+  const SnapshotEstimateSource* const snapshots = api_->snapshot_source();
   hot_.clear();
   level_peers_.clear();
   for (std::size_t i = 0; i < peers_.size(); ++i) {
@@ -266,7 +266,7 @@ void AoptNode::rebuild_hot(ClockValue own) {
     h.id = p.id;
     h.peer_index = static_cast<int>(i);
     h.level_next = ls.next;
-    if (beacon != nullptr) h.has_entry = beacon->snapshot(api_->id(), p.id, h.entry);
+    if (snapshots != nullptr) h.has_entry = snapshots->snapshot(api_->id(), p.id, h.entry);
     LevelPeer lp;
     lp.level_limit = ls.limit;
     lp.kappa = p.kappa;  // weight decay refreshes this per scan
@@ -280,19 +280,20 @@ void AoptNode::rebuild_hot(ClockValue own) {
 }
 
 void AoptNode::on_estimate_dirty(NodeId peer) {
-  // Other estimate sources are read afresh by every scan, and the pending
-  // rebuild of a dirty mirror fetches every snapshot itself.
-  BeaconEstimateSource* const beacon = api_->beacon_source();
-  if (beacon == nullptr || hot_dirty_) return;
+  // Oracle estimates are read afresh by every scan, and the pending rebuild
+  // of a dirty mirror fetches every snapshot itself.
+  const SnapshotEstimateSource* const snapshots = api_->snapshot_source();
+  if (snapshots == nullptr || hot_dirty_) return;
   const auto it = std::lower_bound(
       hot_.begin(), hot_.end(), peer,
       [](const HotPeer& h, NodeId id) { return h.id < id; });
   if (it == hot_.end() || it->id != peer) return;
-  // The engine calls this after the estimate layer consumed the beacon, and
-  // an entry changes only on a beacon (which lands here) or an edge loss
-  // (which sets hot_dirty_), so the cached snapshot stays current.
+  // The engine calls this after the estimate layer consumed a beacon or a
+  // time response, and an entry changes only on such a receipt (which lands
+  // here) or an edge loss (which sets hot_dirty_), so the cached snapshot
+  // stays current.
   HotPeer& h = *it;
-  h.has_entry = beacon->snapshot(api_->id(), peer, h.entry);
+  h.has_entry = snapshots->snapshot(api_->id(), peer, h.entry);
   const auto i = static_cast<std::size_t>(it - hot_.begin());
   if (h.has_entry && level_peers_[i].level_limit >= 1) {
     bound_.widen(h.entry.base, h.entry.recv_hw);
@@ -304,7 +305,7 @@ bool AoptNode::bound_settles(ClockValue own) const {
   // applies only while that set and its aggregates are current: no
   // membership change, no level threshold crossed, no clock regression, and
   // κ constant (weight decay changes it every scan).
-  if (api_->beacon_source() == nullptr || hot_dirty_ || own < last_own_ ||
+  if (api_->snapshot_source() == nullptr || hot_dirty_ || own < last_own_ ||
       own >= level_next_min_ || params_.insertion == InsertionPolicy::kWeightDecay) {
     return false;
   }
@@ -322,7 +323,7 @@ bool AoptNode::bound_settles(ClockValue own) const {
     exact = std::max(exact, std::fabs(est - own));
   }
   require(exact <= bound && triggers_quick_reject(agg_, exact),
-          "AoptNode: certified beacon bound below the exact discrepancy");
+          "AoptNode: certified snapshot bound below the exact discrepancy");
 #endif
   return true;
 }
@@ -331,8 +332,8 @@ void AoptNode::scan_triggers(ClockValue own) {
   // Incremental scan (see the HotPeer comment in the header): membership and
   // per-edge constants come from the cached mirror; levels refresh only at
   // their precomputed thresholds; estimates are evaluated fresh — they move
-  // with the clocks — but through the inline fast paths, reading and drawing
-  // exactly what the virtual estimate path would. `own < last_own_` catches
+  // with the clocks — through the inline read path of the source's shape,
+  // which returns exactly what its estimate() would. `own < last_own_` catches
   // logical-clock regression (fault injection), where the piecewise-constant
   // level caching assumption breaks.
   bool agg_stale = false;
@@ -342,14 +343,14 @@ void AoptNode::scan_triggers(ClockValue own) {
   }
   last_own_ = own;
 
-  OracleEstimateSource* const oracle = api_->oracle_source();
-  BeaconEstimateSource* const beacon = api_->beacon_source();
+  const OracleEstimateSource* const oracle = api_->oracle_source();
   const bool decay = params_.insertion == InsertionPolicy::kWeightDecay;
-  const ClockValue own_hw = beacon != nullptr ? api_->hardware() : 0.0;
+  const Time now = api_->now();
+  const ClockValue own_hw = oracle == nullptr ? api_->hardware() : 0.0;
   const std::size_t count = hot_.size();
   double max_abs = 0.0;
   double next_min = kTimeInf;
-  BeaconBound bound;
+  SnapshotBound bound;
   for (std::size_t i = 0; i < count; ++i) {
     HotPeer& h = hot_[i];
     LevelPeer& lp = level_peers_[i];
@@ -362,7 +363,7 @@ void AoptNode::scan_triggers(ClockValue own) {
     next_min = h.level_next < next_min ? h.level_next : next_min;
     if (lp.level_limit < 1) {
       // Discovery-set-only edges play no trigger role; their estimate is
-      // not read (keeps the oracle draws identical to the full scan).
+      // not read.
       lp.has_estimate = false;
       continue;
     }
@@ -372,18 +373,15 @@ void AoptNode::scan_triggers(ClockValue own) {
     bool have;
     double est = 0.0;
     if (oracle != nullptr) {
-      est = oracle->perturb(api_->id(), h.id, api_->peer_true_logical(h.id), own, lp.eps);
+      est = oracle->perturb(api_->id(), h.id, now, api_->peer_true_logical(h.id), own,
+                            lp.eps);
       have = true;
-    } else if (beacon != nullptr) {
+    } else {
       have = h.has_entry;
       if (have) {
         est = h.entry.base + (own_hw - h.entry.recv_hw);
         bound.widen(h.entry.base, h.entry.recv_hw);
       }
-    } else {
-      const auto opt = api_->neighbor_estimate(h.id);
-      have = opt.has_value();
-      if (have) est = *opt;
     }
     lp.has_estimate = have;
     lp.est_minus_own = have ? est - own : 0.0;

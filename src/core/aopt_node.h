@@ -63,7 +63,7 @@ class AoptNode final : public Algorithm {
   [[nodiscard]] const std::vector<LevelDecisions>& decisions_by_level() const {
     return decisions_;
   }
-  /// Re-evaluations the certified beacon bound settled without a scan.
+  /// Re-evaluations the certified snapshot bound settled without a scan.
   [[nodiscard]] long long bound_settled() const { return bound_settled_; }
   [[nodiscard]] bool last_fast_trigger() const { return last_decision_.fast; }
   [[nodiscard]] bool last_slow_trigger() const { return last_decision_.slow; }
@@ -105,24 +105,23 @@ class AoptNode final : public Algorithm {
   ///     level_next (the exact next T_s threshold), which reproduces the
   ///     full recomputation bit-for-bit because limits are piecewise
   ///     constant in own-logical time;
-  ///   - beacon estimate snapshots: fetched by the rebuild, then re-fetched
-  ///     by on_estimate_dirty (the engine's dirty-peer notification on
-  ///     beacon consumption), which finds the peer by binary search (hot_
-  ///     is id-sorted);
+  ///   - snapshot entries (beacon or RTT): fetched by the rebuild, then
+  ///     re-fetched by on_estimate_dirty (the engine's dirty-peer
+  ///     notification on every receipt), which finds the peer by binary
+  ///     search (hot_ is id-sorted);
   ///   - κ and the structural trigger aggregates: constant per edge except
   ///     under weight decay, which downgrades to per-scan recomputation.
   /// Estimates themselves are still *evaluated* every scan (they move
-  /// continuously with the clocks), but through the inline fast paths
-  /// (the pure read NodeApi::peer_true_logical + OracleEstimateSource::perturb,
-  /// or the cached beacon snapshot), reading/drawing exactly what the virtual
-  /// estimate path would. The oracle path always scans: perturb keys each
-  /// uniform draw by u's draw count, so a skipped scan would shift every
-  /// later draw.
+  /// continuously with the clocks), through one inline read path per
+  /// estimate shape: the pure read NodeApi::peer_true_logical +
+  /// OracleEstimateSource::perturb at now(), or the cached snapshot entry —
+  /// exactly what the source's estimate() returns. The oracle path always
+  /// scans: an O(1) bound on its discrepancies does not exist yet.
   ///
-  /// Beacon mode can skip the scan altogether. There every discrepancy is
+  /// Snapshot mode can skip the scan altogether. There every discrepancy is
   /// est − own = c_i + d with a per-peer constant c_i = base_i − recv_hw_i
-  /// and a per-node term d = H_u − L_u, so bound_ (a BeaconBound over the
-  /// level-(>=1) peers with a snapshot) bounds max_abs in O(1). A full scan
+  /// and a per-node term d = H_u − L_u, so bound_ (a SnapshotBound over the
+  /// level-(>=1) peers with an entry) bounds max_abs in O(1). A full scan
   /// sets it exactly; on_estimate_dirty only widens it. When
   /// triggers_quick_reject holds at that bound it holds at the exact
   /// max_abs too, and the decision is {} (bound_settles).
@@ -130,8 +129,8 @@ class AoptNode final : public Algorithm {
     NodeId id = kNoNode;
     int peer_index = 0;            ///< into peers_ (stable since last rebuild)
     double level_next = kTimeInf;  ///< own-logical threshold to refresh level
-    BeaconEstimateSource::Entry entry;  ///< cached beacon snapshot
-    bool has_entry = false;        ///< snapshot exists (beacon mode only)
+    SnapshotEstimateSource::Entry entry;  ///< cached snapshot entry
+    bool has_entry = false;        ///< entry exists (snapshot mode only)
   };
   /// level_limit plus the own-logical threshold at which the cached value
   /// must be recomputed (kTimeInf when only structure can change it).
@@ -142,10 +141,9 @@ class AoptNode final : public Algorithm {
 
   [[nodiscard]] bool is_leader_of(NodeId peer) const { return api_->id() < peer; }
   /// The peer record for `id`, or nullptr if never seen. Peers live in a
-  /// sorted flat vector: iteration order is then stdlib-independent (an
-  /// unordered_map here makes oracle estimate draws — and so whole runs —
-  /// depend on hash iteration order), and the per-reevaluate walk touches
-  /// contiguous memory.
+  /// sorted flat vector: iteration order is then stdlib-independent (hot_
+  /// inherits it, and on_estimate_dirty binary-searches hot_ by id), and the
+  /// per-reevaluate walk touches contiguous memory.
   [[nodiscard]] const Peer* find_peer(NodeId id) const;
   [[nodiscard]] Peer* find_peer(NodeId id) {
     return const_cast<Peer*>(std::as_const(*this).find_peer(id));
@@ -163,7 +161,7 @@ class AoptNode final : public Algorithm {
   [[nodiscard]] double current_kappa(const Peer& p, ClockValue own_logical) const;
   /// Rebuild hot_/level_peers_ from the present peers (membership changed).
   void rebuild_hot(ClockValue own);
-  /// True when the beacon bound proves that no trigger fires at `own`
+  /// True when the snapshot bound proves that no trigger fires at `own`
   /// without a scan (see HotPeer); false whenever a precondition fails.
   [[nodiscard]] bool bound_settles(ClockValue own) const;
   /// The full incremental scan: refreshes every input and decides.
@@ -177,7 +175,7 @@ class AoptNode final : public Algorithm {
   std::vector<HotPeer> hot_;         ///< present peers, scan order (= id order)
   std::vector<LevelPeer> level_peers_;  ///< parallel to hot_
   TriggerAggregates agg_;            ///< cached structural fold over level_peers_
-  BeaconBound bound_;                ///< beacon mode: see the HotPeer comment
+  SnapshotBound bound_;              ///< snapshot mode: see the HotPeer comment
   double level_next_min_ = kTimeInf;  ///< min level_next over hot_ at the last scan
   bool hot_dirty_ = true;            ///< membership/handshake changed
   bool saw_conflict_ = false;

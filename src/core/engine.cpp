@@ -24,9 +24,6 @@ Time NodeApi::neighbor_since(NodeId peer) const {
 const EdgeParams& NodeApi::edge_params(NodeId peer) const {
   return engine_.graph_.params(EdgeKey(id_, peer));
 }
-std::optional<ClockValue> NodeApi::neighbor_estimate(NodeId peer) {
-  return engine_.estimates_.estimate(id_, peer);
-}
 double NodeApi::edge_eps(NodeId peer) const {
   return engine_.estimates_.eps(EdgeKey(id_, peer));
 }
@@ -94,7 +91,9 @@ Engine::Engine(Simulator& sim, DynamicGraph& graph, Transport& transport,
   }
   estimates_.bind(this);
   oracle_estimates_ = dynamic_cast<OracleEstimateSource*>(&estimates_);
-  beacon_estimates_ = dynamic_cast<BeaconEstimateSource*>(&estimates_);
+  snapshot_estimates_ = dynamic_cast<SnapshotEstimateSource*>(&estimates_);
+  require(oracle_estimates_ != nullptr || snapshot_estimates_ != nullptr,
+          "Engine: the estimate source must be an oracle or a snapshot source");
   estimates_consume_beacons_ = estimates_.consumes_beacons();
   graph_.set_listener(this);
   transport_.set_sink(this);
@@ -209,10 +208,6 @@ void Engine::corrupt_max_estimate(NodeId u, ClockValue value) {
   reevaluate(u);
 }
 
-bool Engine::send_time_request(NodeId from, NodeId to, const TimeRequest& req) {
-  return transport_.send(from, to, req);
-}
-
 double Engine::metric_kappa(const EdgeKey& e) {
   const auto it = kappa_cache_.find(e);
   if (it != kappa_cache_.end()) return it->second;
@@ -286,7 +281,7 @@ void Engine::dispatch(const SimEvent& ev) {
       break;
     case EventKind::kProbe:
       trace(EventKind::kProbe, u);
-      estimates_.on_probe(u, *this);
+      estimates_.on_probe(u, transport_);
       sim_.schedule_event_after(estimates_.probe_period(),
                                 SimEvent::node_event(EventKind::kProbe, channel_, u));
       break;

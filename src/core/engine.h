@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -65,8 +64,7 @@ class NodeApi {
   [[nodiscard]] Time neighbor_since(NodeId peer) const;
   [[nodiscard]] const EdgeParams& edge_params(NodeId peer) const;
 
-  /// Estimate layer access (eq. 1).
-  std::optional<ClockValue> neighbor_estimate(NodeId peer);
+  /// ε_e the estimate layer guarantees for the edge to `peer` (eq. 1).
   [[nodiscard]] double edge_eps(NodeId peer) const;
 
   /// Listing 1 line 9. Returns false if the edge is absent from our view.
@@ -80,12 +78,11 @@ class NodeApi {
   /// Run `fn` after `dt` real time.
   void schedule_after(Duration dt, std::function<void()> fn);
 
-  // ---- incremental re-evaluation fast paths (defined after Engine) ----
-  /// The engine's estimate source, downcast to a built-in type, or nullptr.
-  /// A non-null pointer licenses the corresponding inline read path below;
-  /// both null means the algorithm must use neighbor_estimate (generic).
+  // ---- estimate reads (defined after Engine) ----
+  /// The engine's estimate source as one of its two shapes: exactly one of
+  /// these is non-null, and it licenses the matching inline read path.
   [[nodiscard]] OracleEstimateSource* oracle_source() const;
-  [[nodiscard]] BeaconEstimateSource* beacon_source() const;
+  [[nodiscard]] SnapshotEstimateSource* snapshot_source() const;
   /// True logical clock of a peer: the value the oracle source's
   /// ClockAccess read returns.
   [[nodiscard]] ClockValue peer_true_logical(NodeId v) const;
@@ -111,9 +108,10 @@ class Algorithm {
   virtual void on_insert_edge_msg(NodeId from, const InsertEdgeMsg& msg) {
     (void)from, (void)msg;
   }
-  /// The *discrete* state behind `peer`'s estimate changed (a beacon from
-  /// `peer` was consumed by the estimate layer). Incremental algorithms use
-  /// this to invalidate cached estimate snapshots; a reevaluate() follows.
+  /// The *discrete* state behind `peer`'s estimate changed (a beacon or a
+  /// time response from `peer` reached the estimate layer). Incremental
+  /// algorithms use this to invalidate cached estimate snapshots; a
+  /// reevaluate() follows.
   virtual void on_estimate_dirty(NodeId peer) { (void)peer; }
 
   /// Re-decide the mode (rate multiplier). Called after every event
@@ -169,8 +167,7 @@ class EngineObserver {
 
 class Engine final : public DynamicGraph::Listener,
                      public ClockAccess,
-                     public DeliverySink,
-                     public ProbeSender {
+                     public DeliverySink {
  public:
   using AlgorithmFactory = std::function<std::unique_ptr<Algorithm>(NodeId)>;
 
@@ -236,9 +233,7 @@ class Engine final : public DynamicGraph::Listener,
   // ---------------------------------------------------------- ClockAccess
   ClockValue true_logical(NodeId u) const override { return logical(u); }
   ClockValue true_hardware(NodeId u) const override { return hardware(u); }
-
-  // ---------------------------------------------------------- ProbeSender
-  bool send_time_request(NodeId from, NodeId to, const TimeRequest& req) override;
+  Time now() const override { return sim_.now(); }
 
   // ------------------------------------------------- DynamicGraph::Listener
   void on_edge_discovered(NodeId u, NodeId peer) override;
@@ -342,13 +337,11 @@ class Engine final : public DynamicGraph::Listener,
   Transport& transport_;
   DriftModel& drift_;
   EstimateSource& estimates_;
-  /// Devirtualization fast paths: non-null iff estimates_ is the matching
-  /// built-in source (oracle is the default for large sweeps). Calling
-  /// through the final class lets the whole estimate inline into the
-  /// re-evaluation loop; AoptNode's incremental scan uses the same pointers
-  /// via NodeApi::oracle_source()/beacon_source().
+  /// estimates_ as its shape: exactly one is non-null (the constructor
+  /// requires it). AoptNode's incremental scan reads through them inline
+  /// via NodeApi::oracle_source()/snapshot_source().
   OracleEstimateSource* oracle_estimates_ = nullptr;
-  BeaconEstimateSource* beacon_estimates_ = nullptr;
+  SnapshotEstimateSource* snapshot_estimates_ = nullptr;
   bool estimates_consume_beacons_ = false;
   GlobalSkewEstimator& gskew_;
   AlgoParams params_;
@@ -413,8 +406,8 @@ inline OracleEstimateSource* NodeApi::oracle_source() const {
   return engine_.oracle_estimates_;
 }
 
-inline BeaconEstimateSource* NodeApi::beacon_source() const {
-  return engine_.beacon_estimates_;
+inline SnapshotEstimateSource* NodeApi::snapshot_source() const {
+  return engine_.snapshot_estimates_;
 }
 
 inline ClockValue NodeApi::peer_true_logical(NodeId v) const { return engine_.logical(v); }

@@ -25,8 +25,8 @@
 // the quick rejection (triggers_quick_reject), which evaluate_triggers
 // applies first. It is monotone in max_abs: a caller holding any upper
 // bound on max_abs for which it rejects knows evaluate_triggers returns {}
-// without computing max_abs — AoptNode's beacon fast path rests on this
-// (BeaconBound below supplies that upper bound).
+// without computing max_abs — AoptNode's snapshot fast path rests on this
+// (SnapshotBound below supplies that upper bound).
 //
 // Entries with level_limit < 1 may be present in the array; they are inert
 // in every condition (membership tests are `level_limit >= s`) and must
@@ -81,14 +81,14 @@ inline bool triggers_quick_reject(const TriggerAggregates& agg, double max_abs) 
   return (max_abs + agg.max_eps + agg.max_delta) / agg.kappa_min < 1.0 - 1e-9;
 }
 
-/// Certified upper bound on max_abs for beacon estimates, maintained in O(1)
-/// per update. A beacon estimate's discrepancy is
+/// Certified upper bound on max_abs for snapshot estimates (beacon and RTT),
+/// maintained in O(1) per update. A snapshot estimate's discrepancy is
 ///   est − own = (base_i − recv_hw_i) + (H_u − L_u) = c_i + d,
 /// a per-peer constant plus a per-node term. Over the peers added with
 /// widen(): c_hi >= max c_i, c_lo <= min c_i, mag >= max(|base_i| + |recv_hw_i|).
 /// Widening with an extra or a replaced peer keeps the bound sound; it is
 /// then merely looser.
-struct BeaconBound {
+struct SnapshotBound {
   double c_hi = -kTimeInf;
   double c_lo = kTimeInf;
   double mag = 0.0;

@@ -11,68 +11,61 @@ namespace gcs {
 OracleEstimateSource::OracleEstimateSource(DynamicGraph& graph,
                                            OracleErrorPolicy policy,
                                            std::uint64_t seed)
-    : graph_(graph),
-      policy_(policy),
-      error_draw_(seed, Domain::kOracleError),
-      draws_(static_cast<std::size_t>(graph.size()), 0) {}
+    : graph_(graph), policy_(policy), error_draw_(seed, Domain::kOracleError) {}
 
-std::optional<ClockValue> OracleEstimateSource::estimate(NodeId u, NodeId v) {
+std::optional<ClockValue> OracleEstimateSource::estimate(NodeId u, NodeId v) const {
   require(clocks_ != nullptr, "OracleEstimateSource: bind() not called");
   const NeighborView* nv = graph_.find_neighbor(u, v);
   if (nv == nullptr) return std::nullopt;
-  return perturb(u, v, clocks_->true_logical(v), clocks_->true_logical(u),
-                 nv->params->eps);
+  return perturb(u, v, clocks_->now(), clocks_->true_logical(v),
+                 clocks_->true_logical(u), nv->params->eps);
 }
 
 double OracleEstimateSource::eps(const EdgeKey& e) const {
   return graph_.params(e).eps;
 }
 
-// ------------------------------------------------------------------ beacon
+// ---------------------------------------------------------------- snapshot
 
-double beacon_eps(const EdgeParams& e, double beacon_period, double rho, double mu) {
+double beacon_eps(const EdgeParams& e, double period, double rho, double mu) {
   const double receipt = (1.0 + rho) * (1.0 + mu) * e.msg_delay_max -
                          (1.0 - rho) * e.msg_delay_min;
-  const double gap = beacon_period + e.delay_uncertainty();
+  const double gap = period + e.delay_uncertainty();
   const double growth = (2.0 * rho + mu * (1.0 + rho)) * gap;
   return receipt + growth;
 }
 
-BeaconEstimateSource::BeaconEstimateSource(DynamicGraph& graph,
-                                           double beacon_period, double rho,
-                                           double mu)
-    : graph_(graph), beacon_period_(beacon_period), rho_(rho), mu_(mu) {
-  require(beacon_period > 0.0, "BeaconEstimateSource: beacon_period must be > 0");
+SnapshotEstimateSource::SnapshotEstimateSource(DynamicGraph& graph, double period,
+                                               double rho, double mu)
+    : graph_(graph), period_(period), rho_(rho), mu_(mu) {
+  require(period > 0.0, "SnapshotEstimateSource: refresh period must be > 0");
 }
 
-std::optional<ClockValue> BeaconEstimateSource::estimate(NodeId u, NodeId v) {
-  require(clocks_ != nullptr, "BeaconEstimateSource: bind() not called");
+std::optional<ClockValue> SnapshotEstimateSource::estimate(NodeId u, NodeId v) const {
+  require(clocks_ != nullptr, "SnapshotEstimateSource: bind() not called");
   if (graph_.find_neighbor(u, v) == nullptr) return std::nullopt;
-  const auto it = entries_.find(key(u, v));
-  if (it == entries_.end()) return std::nullopt;
+  Entry entry;
+  if (!snapshot(u, v, entry)) return std::nullopt;
   // Advance the snapshot at the receiver's own hardware rate: the estimate
   // error stays within beacon_eps() because the rate mismatch to the
   // neighbor's logical clock is bounded by 2ρ + µ(1+ρ).
-  const ClockValue hw_elapsed = clocks_->true_hardware(u) - it->second.recv_hw;
-  return it->second.base + hw_elapsed;
+  return entry.base + (clocks_->true_hardware(u) - entry.recv_hw);
 }
 
-double BeaconEstimateSource::eps(const EdgeKey& e) const {
-  return beacon_eps(graph_.params(e), beacon_period_, rho_, mu_);
+double SnapshotEstimateSource::eps(const EdgeKey& e) const {
+  return beacon_eps(graph_.params(e), period_, rho_, mu_);
+}
+
+void SnapshotEstimateSource::on_edge_lost(NodeId u, NodeId peer) {
+  entries_.erase(key(u, peer));
 }
 
 void BeaconEstimateSource::on_beacon(const Delivery& d) {
   require(clocks_ != nullptr, "BeaconEstimateSource: bind() not called");
   const auto* beacon = std::get_if<Beacon>(d.payload);
   if (beacon == nullptr) return;
-  Entry entry;
-  entry.base = beacon->logical + (1.0 - rho_) * d.known_min_delay;
-  entry.recv_hw = clocks_->true_hardware(d.to);
-  entries_[key(d.to, d.from)] = entry;
-}
-
-void BeaconEstimateSource::on_edge_lost(NodeId u, NodeId peer) {
-  entries_.erase(key(u, peer));
+  put(d.to, d.from, beacon->logical + (1.0 - rho_) * d.known_min_delay,
+      clocks_->true_hardware(d.to));
 }
 
 // --------------------------------------------------------------------------

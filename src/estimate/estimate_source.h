@@ -1,20 +1,27 @@
 // The estimate layer (paper §3.1): per-node estimates L̃ᵥᵤ of neighbors'
 // logical clocks with per-edge accuracy guarantee |L_v − L̃ᵥᵤ| <= ε_e (eq. 1).
 //
-// Two realizations:
+// Two shapes, and every read of either is pure (calling estimate() any
+// number of times never changes the run):
 //  * OracleEstimateSource — samples the true clock and perturbs it with a
-//    configurable error policy (exact control of ε; validates theory).
-//  * BeaconEstimateSource — built from periodic beacon messages with bounded
-//    delay; ε is *derived* from (beacon period, delay bounds, ρ, µ) via
-//    beacon_eps() and the guarantee is asserted in tests, not assumed.
+//    configurable error policy (exact control of ε; validates theory). The
+//    error is a pure function of (u, v, now): the uniform draw is keyed by
+//    the instant, so two reads at one instant agree.
+//  * SnapshotEstimateSource — one (base, recv_hw) entry per directed edge,
+//    re-anchored at each receipt and read as base + (H_u − recv_hw), the
+//    reference-broadcast shape. BeaconEstimateSource fills it from beacons
+//    with the model's known delay floor as transit compensation;
+//    RttEstimateSource (rtt_estimate.h) from a measured round-trip time. ε
+//    is *derived* from (refresh period, delay bounds, ρ, µ) via beacon_eps()
+//    and the guarantee is asserted in tests, not assumed.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "graph/dynamic_graph.h"
 #include "net/message.h"
@@ -31,18 +38,10 @@ class ClockAccess {
   virtual ~ClockAccess() = default;
   [[nodiscard]] virtual ClockValue true_logical(NodeId u) const = 0;
   [[nodiscard]] virtual ClockValue true_hardware(NodeId u) const = 0;
+  [[nodiscard]] virtual Time now() const = 0;
 };
 
-/// Engine-provided send capability for probe-driven estimate sources (the
-/// RTT offset exchange). Kept minimal: the source decides *when* and *whom*
-/// to probe; the engine owns the transport and answers TimeRequests itself.
-class ProbeSender {
- public:
-  virtual ~ProbeSender() = default;
-  /// Send a TimeRequest from `from` to `to`; false if the edge is absent
-  /// from the sender's view (the probe is simply skipped then).
-  virtual bool send_time_request(NodeId from, NodeId to, const TimeRequest& req) = 0;
-};
+class Transport;
 
 class EstimateSource {
  public:
@@ -52,7 +51,7 @@ class EstimateSource {
   virtual void bind(const ClockAccess* clocks) { clocks_ = clocks; }
 
   /// L̃ᵛᵤ at the current time; nullopt if no estimate is available yet.
-  [[nodiscard]] virtual std::optional<ClockValue> estimate(NodeId u, NodeId v) = 0;
+  [[nodiscard]] virtual std::optional<ClockValue> estimate(NodeId u, NodeId v) const = 0;
 
   /// The ε_e this source guarantees for edge e.
   [[nodiscard]] virtual double eps(const EdgeKey& e) const = 0;
@@ -68,8 +67,9 @@ class EstimateSource {
   /// event sequence of probe-free sources bit-identical to before the probe
   /// layer existed).
   [[nodiscard]] virtual Duration probe_period() const { return 0.0; }
-  /// Probe timer fired for node u: send whatever requests this round needs.
-  virtual void on_probe(NodeId u, ProbeSender& sender) { (void)u, (void)sender; }
+  /// Probe timer fired for node u: send whatever requests this round needs
+  /// (a request to a peer outside u's view is simply not sent).
+  virtual void on_probe(NodeId u, Transport& transport) { (void)u, (void)transport; }
   /// A TimeResponse for node d.to arrived (engine-dispatched).
   virtual void on_time_response(const Delivery& d, const TimeResponse& resp) {
     (void)d, (void)resp;
@@ -91,23 +91,23 @@ class OracleEstimateSource final : public EstimateSource {
   OracleEstimateSource(DynamicGraph& graph, OracleErrorPolicy policy,
                        std::uint64_t seed = 31);
 
-  std::optional<ClockValue> estimate(NodeId u, NodeId v) override;
+  std::optional<ClockValue> estimate(NodeId u, NodeId v) const override;
   [[nodiscard]] double eps(const EdgeKey& e) const override;
 
-  /// The error application of estimate(), split out so an incremental scan
-  /// that already holds the true clock values can skip the graph lookup and
-  /// the ClockAccess virtual hops. `mine` is u's own current logical clock;
-  /// it is read only by the adversarial policy (where estimate() would have
-  /// fetched true_logical(u), the same value at scan time). Under kUniform
-  /// each call is one keyed draw on (u, v, u's draw count); the other
-  /// policies draw nothing.
-  ClockValue perturb(NodeId u, NodeId v, ClockValue truth, ClockValue mine, double eps) {
+  /// The error application of estimate() at time t, split out so an
+  /// incremental scan that already holds the true clock values can skip the
+  /// graph lookup and the ClockAccess virtual hops. `mine` is u's own
+  /// current logical clock; it is read only by the adversarial policy (where
+  /// estimate() would have fetched true_logical(u), the same value at scan
+  /// time). Under kUniform the error is one keyed draw on (u, v, the bits of
+  /// t): a pure function of its arguments, so reads never perturb the run.
+  [[nodiscard]] ClockValue perturb(NodeId u, NodeId v, Time t, ClockValue truth,
+                                   ClockValue mine, double eps) const {
     switch (policy_) {
       case OracleErrorPolicy::kZero:
         return truth;
       case OracleErrorPolicy::kUniform:
-        return truth + error_draw_.uniform(-eps, eps, u, v,
-                                           draws_[static_cast<std::size_t>(u)]++);
+        return truth + error_draw_.uniform(-eps, eps, u, v, std::bit_cast<std::uint64_t>(t));
       case OracleErrorPolicy::kAdversarial:
         // Shrink the perceived skew: report the neighbor ε closer to us than
         // it is (never crossing), which maximally delays trigger reactions.
@@ -122,40 +122,38 @@ class OracleEstimateSource final : public EstimateSource {
   DynamicGraph& graph_;
   OracleErrorPolicy policy_;
   KeyedDraw error_draw_;
-  std::vector<std::uint64_t> draws_;  ///< per node u: error draws so far, the draw's k
 };
 
-/// Worst-case estimate error of the beacon provider for one edge:
+/// Worst-case estimate error of a snapshot source refreshed every
+/// `period` (the beacon or probe period) for one edge:
 ///   receipt error  <= (1+ρ)(1+µ)·T_max − (1−ρ)·T_min
-///   growth between receipts <= (2ρ + µ(1+ρ))·(P_b + (T_max−T_min))
-double beacon_eps(const EdgeParams& e, double beacon_period, double rho, double mu);
+///   growth between receipts <= (2ρ + µ(1+ρ))·(P + (T_max−T_min))
+double beacon_eps(const EdgeParams& e, double period, double rho, double mu);
 
-class BeaconEstimateSource final : public EstimateSource {
+/// The re-anchor-at-receipt shape shared by the beacon and RTT sources: each
+/// directed edge holds the entry of its last receipt, and estimate() reads
+/// it as base + (H_u(t) − recv_hw). Subclasses decide only how an entry is
+/// produced (put()).
+class SnapshotEstimateSource : public EstimateSource {
  public:
   /// The discrete part of one edge's estimate state: rewritten on every
-  /// beacon receipt, constant in between. estimate() extrapolates it with
-  /// the receiver's hardware clock only, so an incremental scan may cache a
-  /// snapshot until the engine reports the peer dirty (a new beacon arrived
-  /// or the entry was evicted) and evaluate `base + (H_u(t) − recv_hw)`
-  /// itself — the exact expression estimate() uses.
+  /// receipt, constant in between. estimate() extrapolates it with the
+  /// receiver's hardware clock only, so an incremental scan may cache a
+  /// snapshot until the engine reports the peer dirty (a new receipt or an
+  /// eviction) and evaluate `base + (H_u(t) − recv_hw)` itself — the exact
+  /// expression estimate() uses.
   struct Entry {
-    ClockValue base = 0.0;       ///< L_msg + (1−ρ)·known_min_delay
+    ClockValue base = 0.0;       ///< remote L + compensated transit at receipt
     ClockValue recv_hw = 0.0;    ///< receiver hardware clock at receipt
   };
 
-  /// `rho`/`mu` are needed to (a) apply the conservative (1−ρ) transit
-  /// compensation and (b) report ε via beacon_eps.
-  BeaconEstimateSource(DynamicGraph& graph, double beacon_period, double rho,
-                       double mu);
-
-  std::optional<ClockValue> estimate(NodeId u, NodeId v) override;
-  [[nodiscard]] double eps(const EdgeKey& e) const override;
-  void on_beacon(const Delivery& d) override;
-  [[nodiscard]] bool consumes_beacons() const override { return true; }
+  std::optional<ClockValue> estimate(NodeId u, NodeId v) const final;
+  /// beacon_eps over the refresh period.
+  [[nodiscard]] double eps(const EdgeKey& e) const final;
   void on_edge_lost(NodeId u, NodeId peer) override;
 
   /// Incremental-scan support: copy out the discrete state for (u, v).
-  /// False if no beacon from v has been received (no estimate exists yet).
+  /// False if nothing from v has been received (no estimate exists yet).
   /// The caller is responsible for the graph-presence precondition that
   /// estimate() checks itself.
   [[nodiscard]] bool snapshot(NodeId u, NodeId v, Entry& out) const {
@@ -165,17 +163,38 @@ class BeaconEstimateSource final : public EstimateSource {
     return true;
   }
 
- private:
+ protected:
+  /// `rho`/`mu` serve the conservative (1−ρ) transit compensation and the
+  /// ε report; `period` is the refresh cadence the ε charges drift over.
+  SnapshotEstimateSource(DynamicGraph& graph, double period, double rho, double mu);
+
+  void put(NodeId owner, NodeId peer, ClockValue base, ClockValue recv_hw) {
+    entries_[key(owner, peer)] = Entry{base, recv_hw};
+  }
   static std::uint64_t key(NodeId owner, NodeId peer) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(owner)) << 32) |
            static_cast<std::uint32_t>(peer);
   }
 
   DynamicGraph& graph_;
-  double beacon_period_;
+  double period_;
   double rho_;
   double mu_;
+
+ private:
   std::unordered_map<std::uint64_t, Entry> entries_;
+};
+
+/// Snapshots from periodic beacon messages with bounded delay, compensated
+/// by the model's known delay floor.
+class BeaconEstimateSource final : public SnapshotEstimateSource {
+ public:
+  BeaconEstimateSource(DynamicGraph& graph, double beacon_period, double rho,
+                       double mu)
+      : SnapshotEstimateSource(graph, beacon_period, rho, mu) {}
+
+  void on_beacon(const Delivery& d) override;
+  [[nodiscard]] bool consumes_beacons() const override { return true; }
 };
 
 // --------------------------------------------------------------------------

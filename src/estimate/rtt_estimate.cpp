@@ -2,39 +2,22 @@
 
 #include <algorithm>
 
+#include "net/transport.h"
+
 namespace gcs {
 
 RttEstimateSource::RttEstimateSource(DynamicGraph& graph, Duration probe_period,
                                      double rho, double mu, int window,
                                      double outlier)
-    : graph_(graph),
-      probe_period_(probe_period),
-      rho_(rho),
-      mu_(mu),
+    : SnapshotEstimateSource(graph, probe_period, rho, mu),
       window_(window),
       outlier_(outlier) {
-  require(probe_period > 0.0, "RttEstimateSource: probe period must be > 0");
   require(window >= 1, "RttEstimateSource: window must be >= 1");
   require(outlier >= 1.0, "RttEstimateSource: outlier factor must be >= 1");
 }
 
-std::optional<ClockValue> RttEstimateSource::estimate(NodeId u, NodeId v) {
-  require(clocks_ != nullptr, "RttEstimateSource: bind() not called");
-  if (graph_.find_neighbor(u, v) == nullptr) return std::nullopt;
-  const auto it = edges_.find(key(u, v));
-  if (it == edges_.end() || !it->second.have_estimate) return std::nullopt;
-  // Extrapolate at the owner's hardware rate, exactly like the beacon
-  // source: the rate mismatch to the peer's logical clock is bounded by
-  // 2ρ + µ(1+ρ), which eps() charges over a full probe period.
-  const ClockValue hw_elapsed = clocks_->true_hardware(u) - it->second.recv_hw;
-  return it->second.base + hw_elapsed;
-}
-
-double RttEstimateSource::eps(const EdgeKey& e) const {
-  return beacon_eps(graph_.params(e), probe_period_, rho_, mu_);
-}
-
 void RttEstimateSource::on_edge_lost(NodeId u, NodeId peer) {
+  SnapshotEstimateSource::on_edge_lost(u, peer);
   edges_.erase(key(u, peer));
   // Orphan the in-flight probes toward that peer (a late response must not
   // resurrect the estimate of an edge the view already dropped).
@@ -48,11 +31,11 @@ void RttEstimateSource::on_edge_lost(NodeId u, NodeId peer) {
   }
 }
 
-void RttEstimateSource::on_probe(NodeId u, ProbeSender& sender) {
+void RttEstimateSource::on_probe(NodeId u, Transport& transport) {
   require(clocks_ != nullptr, "RttEstimateSource: bind() not called");
   const ClockValue hw = clocks_->true_hardware(u);
   // Prune this owner's stale in-flight probes (lost requests/responses).
-  const ClockValue horizon = hw - kStaleRounds * probe_period_;
+  const ClockValue horizon = hw - kStaleRounds * period_;
   for (auto it = pending_.begin(); it != pending_.end();) {
     const bool mine = static_cast<NodeId>(it->first >> 32) == u;
     if (mine && it->second.send_hw < horizon) {
@@ -67,7 +50,7 @@ void RttEstimateSource::on_probe(NodeId u, ProbeSender& sender) {
   for (const NeighborView& nv : graph_.view_neighbors(u)) {
     for (int shot = 0; shot < 2; ++shot) {
       const std::uint32_t id = next++;
-      if (sender.send_time_request(u, nv.id, TimeRequest{id, hw})) {
+      if (transport.send(u, nv.id, TimeRequest{id, hw})) {
         pending_[key(u, id)] = Pending{nv.id, hw};
       }
     }
@@ -109,20 +92,11 @@ void RttEstimateSource::on_time_response(const Delivery& d, const TimeResponse& 
     sync.rtts[sync.next] = rtt;
     sync.next = (sync.next + 1) % sync.rtts.size();
   }
-  ++samples_accepted_;
   // The responder's logical clock has advanced by ~transit since it stamped
   // remote_logical; compensate with the measured one-way estimate, drift-
   // discounted like the beacon source's known-delay compensation.
   const double transit = filtered_transit(sync.rtts, outlier_);
-  sync.base = resp.remote_logical + (1.0 - rho_) * transit;
-  sync.recv_hw = hw;
-  sync.have_estimate = true;
-}
-
-double RttEstimateSource::transit_estimate(NodeId owner, NodeId peer) const {
-  const auto it = edges_.find(key(owner, peer));
-  if (it == edges_.end() || it->second.rtts.empty()) return -1.0;
-  return filtered_transit(it->second.rtts, outlier_);
+  put(owner, d.from, resp.remote_logical + (1.0 - rho_) * transit, hw);
 }
 
 void register_rtt_estimate(Registry<EstimateFactory>& r) {

@@ -11,6 +11,11 @@
 // deferred datagram cannot starve a round of samples — the reason edyn's
 // exchange is two-phase.
 //
+// Each accepted response re-anchors the edge's snapshot entry, so the
+// estimate, its ε and the incremental scan's read path (cached snapshot and
+// certified bound) are SnapshotEstimateSource's, shared with the beacon
+// source. This class keeps only the RTT window and the in-flight probes.
+//
 // The reported ε_e is beacon_eps(e, probe_period, ρ, µ): the worst-case
 // receipt error of an *uncompensated* timestamp plus drift growth over one
 // period. RTT compensation only shrinks the receipt term (the residual error
@@ -27,32 +32,22 @@
 
 namespace gcs {
 
-class RttEstimateSource final : public EstimateSource {
+class RttEstimateSource final : public SnapshotEstimateSource {
  public:
   RttEstimateSource(DynamicGraph& graph, Duration probe_period, double rho,
                     double mu, int window, double outlier);
 
-  std::optional<ClockValue> estimate(NodeId u, NodeId v) override;
-  [[nodiscard]] double eps(const EdgeKey& e) const override;
   void on_edge_lost(NodeId u, NodeId peer) override;
 
-  [[nodiscard]] Duration probe_period() const override { return probe_period_; }
-  void on_probe(NodeId u, ProbeSender& sender) override;
+  [[nodiscard]] Duration probe_period() const override { return period_; }
+  void on_probe(NodeId u, Transport& transport) override;
   void on_time_response(const Delivery& d, const TimeResponse& resp) override;
 
-  /// Smoothed transit estimate for the directed edge (peer -> owner), or a
-  /// negative value if no RTT sample has survived yet (test/metrics access).
-  [[nodiscard]] double transit_estimate(NodeId owner, NodeId peer) const;
-  [[nodiscard]] std::uint64_t sample_count() const { return samples_accepted_; }
-
  private:
-  /// Per-directed-edge sync state (owner's view of one peer).
+  /// Per-directed-edge RTT window (owner's view of one peer).
   struct EdgeSync {
     std::vector<double> rtts;     ///< sliding window, circular overwrite
     std::size_t next = 0;         ///< overwrite cursor into rtts
-    ClockValue base = 0.0;        ///< remote L + compensated transit at receipt
-    ClockValue recv_hw = 0.0;     ///< owner hardware clock at receipt
-    bool have_estimate = false;
   };
   /// An unanswered TimeRequest. Entries older than kStaleRounds probe
   /// periods are pruned on the owner's next probe — a response that late is
@@ -63,24 +58,15 @@ class RttEstimateSource final : public EstimateSource {
   };
   static constexpr double kStaleRounds = 4.0;
 
-  static std::uint64_t key(NodeId owner, NodeId peer) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(owner)) << 32) |
-           static_cast<std::uint32_t>(peer);
-  }
   /// Outlier-rejected mean of the window, halved into a one-way transit.
   [[nodiscard]] static double filtered_transit(const std::vector<double>& rtts,
                                                double outlier);
 
-  DynamicGraph& graph_;
-  Duration probe_period_;
-  double rho_;
-  double mu_;
   int window_;
   double outlier_;
   std::unordered_map<std::uint64_t, EdgeSync> edges_;        ///< key(owner, peer)
   std::unordered_map<std::uint64_t, Pending> pending_;       ///< key(owner, probe id)
   std::unordered_map<NodeId, std::uint32_t> next_id_;        ///< per-owner probe ids
-  std::uint64_t samples_accepted_ = 0;
 };
 
 /// Hook for estimate_source.cpp's builtin registration.

@@ -1,10 +1,10 @@
 // The TimeSource seam: where "now" comes from.
 //
-// The simulator kernel owns time in simulation mode (SimClock is a read-only
-// adapter and refuses to sleep — the kernel advances time by firing events).
-// In service mode the roles invert: a wall clock owns time and the runtime
-// executor *slaves* the kernel to it with sim.run_until(clock.now()), so the
-// same Engine/AoptNode code runs unmodified against real time. ScaledClock
+// The simulator kernel owns time in simulation mode: it advances time by
+// firing events, and no TimeSource is involved. In service mode the roles
+// invert: a wall clock owns time and the runtime executor *slaves* the
+// kernel to it with sim.run_until(clock.now()), so the same Engine/AoptNode
+// code runs unmodified against real time. ScaledClock
 // compresses wall time into model time for accelerated soak tests, and
 // VirtualClock is a hand-cranked wall clock for deterministic runtime tests.
 //
@@ -14,7 +14,6 @@
 #include <condition_variable>
 #include <mutex>
 
-#include "sim/simulator.h"
 #include "util/common.h"
 
 namespace gcs {
@@ -29,21 +28,6 @@ class TimeSource {
   /// Block the calling thread until now() >= t. May wake late (scheduler
   /// slop) but never early-returns with now() < t.
   virtual void sleep_until(Time t) = 0;
-};
-
-/// Simulation mode: time IS the kernel's clock. Read-only — the kernel
-/// advances time by firing events, so sleeping here is a logic error
-/// (nothing else could ever move the clock forward).
-class SimClock final : public TimeSource {
- public:
-  explicit SimClock(Simulator& sim) : sim_(sim) {}
-  Time now() override { return sim_.now(); }
-  void sleep_until(Time t) override {
-    require(t <= sim_.now(), "SimClock: cannot sleep (the kernel owns time)");
-  }
-
- private:
-  Simulator& sim_;
 };
 
 /// Wall clock: std::chrono::steady_clock seconds since an epoch shared by

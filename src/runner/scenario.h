@@ -62,7 +62,8 @@ class Scenario {
   [[nodiscard]] AoptNode& aopt(NodeId u);
 
   /// The engine-owned estimate layer's L̃ᵛᵤ (test/metric probe).
-  [[nodiscard]] std::optional<ClockValue> estimate_of(NodeId u, NodeId v) {
+  /// A pure read: calling it never changes the run.
+  [[nodiscard]] std::optional<ClockValue> estimate_of(NodeId u, NodeId v) const {
     return estimates_->estimate(u, v);
   }
 

@@ -31,10 +31,12 @@ constexpr double unit_double(std::uint64_t bits) {
 }
 
 /// Every stream of keyed draws, named in one place, with its key (a, b, k);
-/// k is a dense counter the consumer keeps per key.
+/// k is a dense counter the consumer keeps per key, except where noted.
 enum class Domain : std::uint64_t {
   kDelay = 1,    ///< Transport message delay: (from, to, from's send count)
-  kOracleError,  ///< oracle estimate error: (u, v, u's draw count)
+  /// oracle estimate error: (u, v, the bit pattern of the read's time); no
+  /// counter, so a read is a pure function of the instant
+  kOracleError,
   /// PipeHub fault rolls: (from, to, the link's send count)
   kPipeDrop, kPipeDup, kPipeReorder, kPipeHold, kPipeJitter,
   /// LinkChaos drop roll and corruption draw: (self, to, the link's send count)

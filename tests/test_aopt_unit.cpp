@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "metrics/fingerprint.h"
 #include "runner/scenario.h"
@@ -181,21 +182,24 @@ TEST(AoptUnit, BeaconLevelCrossingReachesTheTriggers) {
   EXPECT_GT(slow, 0);
 }
 
-TEST(AoptUnit, BoundSettledOnlyUnderBeaconEstimates) {
-  // The oracle path keeps the full scan: each uniform draw is keyed by the
-  // node's draw count, so a skipped re-evaluation would shift later draws.
+TEST(AoptUnit, BoundSettledOnlyUnderSnapshotEstimates) {
+  // The certified bound covers the snapshot shape, beacon and RTT alike. The
+  // oracle path keeps the full scan: no O(1) bound on its errors exists yet.
   auto cfg = tiny(4);
-  cfg.estimates = ComponentSpec("uniform");
-  Scenario oracle(cfg);
-  oracle.start();
-  oracle.run_until(60.0);
-  cfg.estimates = ComponentSpec("beacon");
-  Scenario beacon(cfg);
-  beacon.start();
-  beacon.run_until(60.0);
+  const auto run = [&cfg](const char* estimates) {
+    cfg.estimates = ComponentSpec(estimates);
+    auto s = std::make_unique<Scenario>(cfg);
+    s->start();
+    s->run_until(60.0);
+    return s;
+  };
+  const auto oracle = run("uniform");
+  const auto beacon = run("beacon");
+  const auto rtt = run("rtt");
   for (NodeId u = 0; u < 4; ++u) {
-    EXPECT_EQ(oracle.aopt(u).bound_settled(), 0);
-    EXPECT_GT(beacon.aopt(u).bound_settled(), 0);
+    EXPECT_EQ(oracle->aopt(u).bound_settled(), 0);
+    EXPECT_GT(beacon->aopt(u).bound_settled(), 0);
+    EXPECT_GT(rtt->aopt(u).bound_settled(), 0);
   }
 }
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
+#include "metrics/fingerprint.h"
 #include "metrics/recorder.h"
 #include "metrics/skew.h"
 #include "runner/scenario.h"
@@ -88,8 +90,12 @@ TEST(Baselines, MaxJumpViolatesRateEnvelopeByJumping) {
 // gradient bound. (This is the §1/§2 motivation for gradient CSAs.)
 // ---------------------------------------------------------------------------
 
-double worst_old_edge_skew_after_shortcut(const std::string& algo, int n) {
-  auto cfg = comparison_config(n, algo);
+constexpr int kShortcutN = 12;
+constexpr Time kShortcutAt = 300.0;  // steady state on the line
+constexpr Time kShortcutHorizon = 500.0;
+
+ScenarioSpec shortcut_config(const std::string& algo) {
+  auto cfg = comparison_config(kShortcutN, algo);
   // §8-style adversarial communication: every message takes the maximum
   // delay and no transit compensation is possible (delay_min = 0), so the
   // max-estimate wavefront hides Θ(D) skew along the line.
@@ -101,29 +107,81 @@ double worst_old_edge_skew_after_shortcut(const std::string& algo, int n) {
   cfg.delays = DelayMode::kMax;
   cfg.engine.beacon_period = 1.0;
   cfg.engine.tick_period = 0.5;
-  Scenario s(cfg);
-  s.start();
-  s.run_until(300.0);  // steady state on the line
-  s.graph().create_edge(EdgeKey(0, n - 1), cfg.edge_params);
-  double worst_old_edge = 0.0;
-  for (int step = 0; step < 400; ++step) {
+  return cfg;
+}
+
+/// Runs the shortcut scenario to `end` in 0.5 model-s steps, calling
+/// `sample` after each step.
+template <typename Sample>
+void run_shortcut_steps(Scenario& s, Time end, const Sample& sample) {
+  while (s.sim().now() < end) {
     s.run_for(0.5);
-    for (const auto& e : topo_line(n)) {  // old edges only
+    sample();
+  }
+}
+
+double worst_old_edge_skew_after_shortcut(const std::string& algo) {
+  Scenario s(shortcut_config(algo));
+  s.start();
+  s.run_until(kShortcutAt);
+  s.graph().create_edge(EdgeKey(0, kShortcutN - 1), s.spec().edge_params);
+  double worst_old_edge = 0.0;
+  run_shortcut_steps(s, kShortcutHorizon, [&] {
+    for (const auto& e : topo_line(kShortcutN)) {  // old edges only
       const double skew = std::fabs(s.engine().logical(e.a) - s.engine().logical(e.b));
       worst_old_edge = std::max(worst_old_edge, skew);
     }
-  }
+  });
   return worst_old_edge;
 }
 
 TEST(Baselines, ShortcutInsertionHurtsMaxJumpNotAopt) {
-  const int n = 12;
-  const double aopt = worst_old_edge_skew_after_shortcut("aopt", n);
-  const double maxjump = worst_old_edge_skew_after_shortcut("max-jump", n);
+  const double aopt = worst_old_edge_skew_after_shortcut("aopt");
+  const double maxjump = worst_old_edge_skew_after_shortcut("max-jump");
   // Max-jump concentrates the revealed skew on one old edge; AOPT keeps the
   // gradient property on edges that have been present for a long time.
   EXPECT_GT(maxjump, 2.0 * aopt)
       << "max-jump worst old-edge skew " << maxjump << " vs AOPT " << aopt;
+}
+
+// The shortcut scenario is the oracle run whose fast trigger fires, so it is
+// where a read that moved the uniform error draws would show.
+TEST(EstimateReads, DoNotPerturbTheRun) {
+  struct Run {
+    std::uint64_t hash = 0;
+    std::uint64_t events = 0;
+    long long fast = 0;
+  };
+  const auto run = [](bool read_estimates) {
+    Scenario s(shortcut_config("aopt"));
+    TrajectoryFingerprinter fp;
+    fp.attach(s);
+    s.start();
+    const auto advance = [&s, read_estimates](Time end) {
+      if (!read_estimates) return s.run_until(end);
+      run_shortcut_steps(s, end, [&s] {
+        for (NodeId u = 0; u < kShortcutN; ++u) {
+          for (const NeighborView& nv : s.graph().view_neighbors(u)) {
+            (void)s.estimate_of(u, nv.id);
+          }
+        }
+      });
+    };
+    advance(kShortcutAt);
+    s.graph().create_edge(EdgeKey(0, kShortcutN - 1), s.spec().edge_params);
+    advance(kShortcutHorizon);
+    Run r{fp.value(), fp.events(), 0};
+    for (NodeId u = 0; u < kShortcutN; ++u) {
+      for (const auto& at : s.aopt(u).decisions_by_level()) r.fast += at.fast;
+    }
+    return r;
+  };
+  const Run plain = run(false);
+  const Run read = run(true);
+  EXPECT_GT(plain.fast, 0) << "the scenario no longer fires the fast trigger";
+  EXPECT_EQ(read.hash, plain.hash) << "reading estimate_of moved the trajectory";
+  EXPECT_EQ(read.events, plain.events);
+  EXPECT_EQ(read.fast, plain.fast);
 }
 
 TEST(Baselines, SteadyLocalSkewAoptBeatsMaxJump) {

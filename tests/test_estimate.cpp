@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "estimate/estimate_source.h"
@@ -44,12 +45,21 @@ TEST(OracleEstimates, UniformPolicyWithinEps) {
   cfg.estimates = ComponentSpec("uniform");
   Scenario s(cfg);
   s.start();
-  s.run_until(10.0);
-  for (int i = 0; i < 1000; ++i) {
+  // The error is keyed by the instant, so sample 1,000 distinct instants;
+  // two reads at one instant must agree.
+  double lo = 0.0;
+  double hi = 0.0;
+  for (int i = 1; i <= 1000; ++i) {
+    s.run_until(0.01 * i);
     const auto est = s.estimate_of(0, 1);
     ASSERT_TRUE(est.has_value());
-    EXPECT_LE(std::fabs(*est - s.engine().logical(1)), 0.25 + 1e-12);
+    const double err = *est - s.engine().logical(1);
+    EXPECT_LE(std::fabs(err), 0.25 + 1e-12);
+    EXPECT_EQ(s.estimate_of(0, 1), est) << "two reads at t=" << s.sim().now();
+    lo = std::min(lo, err);
+    hi = std::max(hi, err);
   }
+  EXPECT_GT(hi - lo, 0.4) << "the errors should spread over [-eps, eps]";
   EXPECT_DOUBLE_EQ(s.engine().edge_eps(EdgeKey(0, 1)), 0.25);
 }
 

@@ -485,9 +485,9 @@ TEST(FingerprintInvariance, LockstepRtRowsAreReproducible) {
 }
 
 TEST(FingerprintInvariance, SamplingDoesNotPerturb) {
-  // Every clock read is pure, so the samplers the claims, the ledger and the
-  // runtime cluster run — whole-network reads every 0.5 model-s — measure
-  // exactly the pinned trajectory.
+  // Every clock and estimate read is pure, so the samplers the claims, the
+  // ledger and the runtime cluster run — whole-network reads every 0.5
+  // model-s — measure exactly the pinned trajectory.
   std::map<std::string, Row> pinned;
   for (const Row& row : fptable::load_table()) pinned[row.name] = row;
   for (const Case& c : sim_cases()) {
@@ -501,6 +501,11 @@ TEST(FingerprintInvariance, SamplingDoesNotPerturb) {
       (void)scenario.engine().true_global_skew();
       (void)measure_skew(scenario.engine());
       (void)check_legality(scenario.engine(), scenario.spec().aopt.gtilde_static);
+      for (NodeId u = 0; u < scenario.graph().size(); ++u) {
+        for (const NeighborView& nv : scenario.graph().view_neighbors(u)) {
+          (void)scenario.estimate_of(u, nv.id);
+        }
+      }
     }
     scenario.run_until(c.horizon);
     EXPECT_EQ(fp.value(), pinned.at(c.name).hash)

@@ -259,16 +259,6 @@ TEST(Wire, FuzzNeverCrashesNeverAcceptsACorruptV2Frame) {
 
 // -------------------------------------------------------------- time sources
 
-TEST(TimeSourceSuite, SimClockReadsKernelAndRefusesToSleep) {
-  Simulator sim;
-  SimClock clock(sim);
-  EXPECT_DOUBLE_EQ(clock.now(), 0.0);
-  sim.run_until(5.0);
-  EXPECT_DOUBLE_EQ(clock.now(), 5.0);
-  EXPECT_NO_THROW(clock.sleep_until(5.0));
-  EXPECT_THROW(clock.sleep_until(6.0), std::runtime_error);
-}
-
 TEST(TimeSourceSuite, ScaledClockScalesFromOrigin) {
   VirtualClock inner;
   inner.advance_to(100.0);

@@ -342,9 +342,9 @@ TEST(Triggers, QuickRejectionMeansNoTriggerAtAnyLevel) {
   EXPECT_GT(rejected, 1000);  // the property was exercised
 }
 
-TEST(Triggers, BeaconBoundCoversTheScanDiscrepancy) {
-  // AoptNode's scan computes each beacon discrepancy as
-  // fl(fl(base + fl(H − recv_hw)) − L); BeaconBound must bound every one of
+TEST(Triggers, SnapshotBoundCoversTheScanDiscrepancy) {
+  // AoptNode's scan computes each snapshot discrepancy as
+  // fl(fl(base + fl(H − recv_hw)) − L); SnapshotBound must bound every one of
   // them, including at 1e9 magnitudes where the terms nearly cancel.
   Rng rng(2203);
   for (int iteration = 0; iteration < 100000; ++iteration) {
@@ -358,7 +358,7 @@ TEST(Triggers, BeaconBoundCoversTheScanDiscrepancy) {
     };
     const double own_hw = near(1.0);
     const double own = near(rng.chance(0.5) ? 1.0 : -1.0);
-    BeaconBound bound;
+    SnapshotBound bound;
     std::vector<std::pair<double, double>> entries;
     const int count = static_cast<int>(rng.between(0, 8));
     for (int i = 0; i < count; ++i) {
@@ -378,9 +378,9 @@ TEST(Triggers, BeaconBoundCoversTheScanDiscrepancy) {
     }
   }
   // Nothing widened: only the slack remains; a non-finite H − L disables it.
-  const BeaconBound empty;
+  const SnapshotBound empty;
   EXPECT_LT(empty.bound(5.0, 5.0), 1e-9);
-  EXPECT_EQ(BeaconBound{}.bound(kTimeInf, 0.0), kTimeInf);
+  EXPECT_EQ(SnapshotBound{}.bound(kTimeInf, 0.0), kTimeInf);
 }
 
 }  // namespace
