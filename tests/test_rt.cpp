@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <memory>
@@ -767,6 +768,53 @@ TEST(PipeHub, ChaosDecisionsMatchThePin) {
     EXPECT_EQ(h, pin.decisions) << std::hex << "0x" << h;
     EXPECT_EQ(hub.rejected(), hub.corrupted());
   }
+}
+
+// The pipe's FaultSpec rolls and receiver-side hold, pinned the same way:
+// sender 1 of 4 sends round-robin to 0, 2 and 3 with every FaultSpec fault
+// and a chaos fault (drop, storm, corrupt) on 1 -> 2. Each send's counter
+// deltas are folded, then the clock steps and every receiver's poll order
+// and sent_at bits follow, so a change to what is drawn, what is held or
+// when a held frame surfaces fails here.
+TEST(PipeHub, FaultSpecDecisionsMatchThePin) {
+  VirtualClock clock;
+  FaultSpec faults;
+  faults.drop = 0.3;
+  faults.dup = 0.2;
+  faults.reorder = 0.3;
+  faults.delay = 1.0;
+  faults.jitter = 0.05;
+  PipeHub hub(4, clock, faults);
+  hub.set_link_fault(1, 2, LinkFault{0.25f, 0.3f, 0.5f});
+  const auto counters = [&] {
+    return std::vector<std::uint64_t>{hub.sent(),          hub.dropped(),
+                                      hub.duplicated(),    hub.delayed(),
+                                      hub.chaos_dropped(), hub.corrupted(),
+                                      hub.rejected()};
+  };
+  constexpr NodeId kReceivers[] = {0, 2, 3};
+  std::uint64_t h = kFnvOffset;
+  WireMsg out;
+  const auto drain = [&] {
+    for (const NodeId r : kReceivers) {
+      while (hub.poll(r, out)) {
+        h = fnv_step(fnv_step(h, static_cast<std::uint64_t>(r)),
+                     std::bit_cast<std::uint64_t>(out.sent_at));
+      }
+    }
+  };
+  for (int i = 0; i < kPinFrames; ++i) {
+    const std::vector<std::uint64_t> before = counters();
+    hub.send(beacon_msg(1, kReceivers[i % 3], i));
+    const std::vector<std::uint64_t> after = counters();
+    for (std::size_t c = 0; c < after.size(); ++c) h = fnv_step(h, after[c] - before[c]);
+    clock.advance_to(0.01 * (i + 1));
+    drain();
+  }
+  clock.advance_to(10.0);  // release every held copy
+  drain();
+  for (const std::uint64_t c : counters()) EXPECT_GT(c, 0u) << "a fault never fired";
+  EXPECT_EQ(h, 0x6d4807974e8a2667ULL) << std::hex << "0x" << h;
 }
 
 TEST(UdpTransportSuite, ChaosDecisionsMatchThePin) {
