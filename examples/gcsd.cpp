@@ -78,13 +78,13 @@ ScenarioSpec make_spec(const Flags& flags) {
 /// The daemon-side chaos adapter: every daemon replays the same script and
 /// keeps the ops that involve itself — its own crash/restart, its own
 /// outbound link slots (the socket transports ignore foreign `from`s), and
-/// under tcp its own side of a conn-reset (each daemon owns exactly one of
-/// the pair's two outbound connections, so resetting it covers the link).
+/// its own side of a conn-reset (each daemon owns exactly one of the pair's
+/// two outbound connections, so resetting it covers the link). Every op
+/// goes through RtTransport; over UDP a conn-reset request is a no-op.
 class DaemonChaosTarget final : public ChaosTarget {
  public:
-  DaemonChaosTarget(NodeId self, RtNode& node, RtTransport& net,
-                    TcpTransport* tcp)
-      : self_(self), node_(node), net_(net), tcp_(tcp) {}
+  DaemonChaosTarget(NodeId self, RtNode& node, RtTransport& net)
+      : self_(self), node_(node), net_(net) {}
   void chaos_crash(NodeId u) override {
     if (u == self_) node_.request_crash();
   }
@@ -95,16 +95,14 @@ class DaemonChaosTarget final : public ChaosTarget {
     net_.set_link_fault(from, to, f);
   }
   void chaos_conn_reset(NodeId a, NodeId b) override {
-    if (tcp_ == nullptr) return;
-    if (a == self_) tcp_->request_reset(b);
-    if (b == self_) tcp_->request_reset(a);
+    if (a == self_) net_.request_reset(b);
+    if (b == self_) net_.request_reset(a);
   }
 
  private:
   NodeId self_;
   RtNode& node_;
   RtTransport& net_;
-  TcpTransport* tcp_;  ///< non-null iff --transport=tcp
 };
 
 /// Crash-safe anchor persistence: write-then-rename, so a daemon killed
@@ -217,7 +215,7 @@ int main(int argc, char** argv) {
     });
   }
 
-  DaemonChaosTarget chaos_target(self, node, *net, tcp.get());
+  DaemonChaosTarget chaos_target(self, node, *net);
   ChaosScript script;
   if (chaotic) {
     // Scripted times are start-relative model seconds, like --seconds.

@@ -1,13 +1,14 @@
 // rt_loopback: the runtime subsystem end to end, in one process.
 //
 // Runs N live AOPT nodes — each a full replica stack slaved to the wall
-// clock — over either the in-process pipe transport (lock-free SPSC rings,
-// optional injected faults) or real UDP loopback sockets. Drift is
+// clock — over the in-process pipe transport (lock-free SPSC rings,
+// optional injected faults) or real UDP or TCP loopback sockets. Drift is
 // simulated per node (osc-const ppm offsets), estimates come from the
 // measured-RTT offset exchange, and every node self-samples its clocks on a
 // shared model-time grid; the per-edge skew join runs offline at the end.
 //
 //   rt_loopback --nodes=4 --seconds=3 --time-scale=100        # pipe backend
+//   rt_loopback --drop=0.1 --dup=0.05 --reorder=0.1 --jitter=0.02
 //   rt_loopback --transport=udp --nodes=2 --seconds=3
 //   rt_loopback --transport=tcp --nodes=4 --seconds=12 --time-scale=10 \
 //       --detector --chaos=corrupt --check-bound
@@ -22,6 +23,11 @@
 // backends: every chaos-injected bit flip must show up in rejected() — a
 // corrupted frame that decoded anyway would be a codec bug (UDP is exempt
 // only because the kernel may drop a corrupted datagram before delivery).
+//
+// --drop, --dup, --reorder and --jitter (with --delay, the hold drawn for a
+// reordered message) are the pipe's injected message faults. Real sockets
+// bring their own faults, so a socket transport refuses them (exit 2); use
+// --chaos there, which every transport applies the same way.
 //
 // --chaos takes a preset name (crash|partition|churn|corrupt) or an inline
 // script ("at 5 cut 0 1; at 12 heal 0 1" — see rt/chaos.h for the
@@ -104,6 +110,19 @@ int main(int argc, char** argv) {
     return 2;
   }
   const bool pipe = backend == RtBackend::kPipe;
+  const std::uint64_t seed = static_cast<std::uint64_t>(flags.get("seed", 1));
+  FaultSpec faults;
+  faults.drop = flags.get("drop", 0.0);
+  faults.dup = flags.get("dup", 0.0);
+  faults.reorder = flags.get("reorder", 0.0);
+  faults.delay = flags.get("delay", 0.2);
+  faults.jitter = flags.get("jitter", 0.0);
+  faults.seed = seed;
+  if (!pipe && faults.injects()) {
+    std::cerr << "--drop/--dup/--reorder/--jitter inject pipe faults only; "
+                 "use --chaos on --transport=" << transport << "\n";
+    return 2;
+  }
   const int n = flags.get("nodes", backend == RtBackend::kUdp ? 2 : 4);
   const double scale = flags.get("time-scale", 10.0);
   const Time horizon = flags.get("seconds", 3.0) * scale;  // model seconds
@@ -114,20 +133,11 @@ int main(int argc, char** argv) {
   const double delay_max = flags.get("delay-max", std::max(0.5, 0.05 * scale));
   const int warmup = flags.get(
       "warmup", static_cast<int>(std::ceil(0.25 * horizon / sample_period)));
-  const std::uint64_t seed = static_cast<std::uint64_t>(flags.get("seed", 1));
 
   const ScenarioSpec spec = make_rt_spec(n, probe, delay_max, seed);
 
   MonotonicClock wall;
   ScaledClock clock(wall, scale);
-  FaultSpec faults;
-  faults.drop = flags.get("drop", 0.0);
-  faults.dup = flags.get("dup", 0.0);
-  faults.reorder = flags.get("reorder", 0.0);
-  faults.delay = flags.get("delay", 0.2);
-  faults.jitter = flags.get("jitter", 0.0);
-  faults.seed = seed;
-
   RtCluster cluster(spec, clock, faults, 1024, backend,
                     static_cast<std::uint16_t>(flags.get("base-port", 29200)));
 

@@ -11,7 +11,8 @@ RttEstimateSource::RttEstimateSource(DynamicGraph& graph, Duration probe_period,
                                      double outlier)
     : SnapshotEstimateSource(graph, probe_period, rho, mu),
       window_(window),
-      outlier_(outlier) {
+      outlier_(outlier),
+      owners_(static_cast<std::size_t>(graph.size())) {
   require(window >= 1, "RttEstimateSource: window must be >= 1");
   require(outlier >= 1.0, "RttEstimateSource: outlier factor must be >= 1");
 }
@@ -21,37 +22,25 @@ void RttEstimateSource::on_edge_lost(NodeId u, NodeId peer) {
   edges_.erase(key(u, peer));
   // Orphan the in-flight probes toward that peer (a late response must not
   // resurrect the estimate of an edge the view already dropped).
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    const bool mine = static_cast<NodeId>(it->first >> 32) == u;
-    if (mine && it->second.peer == peer) {
-      it = pending_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(owners_[static_cast<std::size_t>(u)].pending,
+                [peer](const auto& kv) { return kv.second.peer == peer; });
 }
 
 void RttEstimateSource::on_probe(NodeId u, Transport& transport) {
   require(clocks_ != nullptr, "RttEstimateSource: bind() not called");
   const ClockValue hw = clocks_->true_hardware(u);
+  Owner& owner = owners_[static_cast<std::size_t>(u)];
   // Prune this owner's stale in-flight probes (lost requests/responses).
   const ClockValue horizon = hw - kStaleRounds * period_;
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    const bool mine = static_cast<NodeId>(it->first >> 32) == u;
-    if (mine && it->second.send_hw < horizon) {
-      it = pending_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  std::uint32_t& next = next_id_[u];
+  std::erase_if(owner.pending,
+                [horizon](const auto& kv) { return kv.second.send_hw < horizon; });
   // Two back-to-back requests per neighbor (edyn's two-phase exchange): one
   // lost datagram still leaves this round a sample.
   for (const NeighborView& nv : graph_.view_neighbors(u)) {
     for (int shot = 0; shot < 2; ++shot) {
-      const std::uint32_t id = next++;
+      const std::uint32_t id = owner.next_id++;
       if (transport.send(u, nv.id, TimeRequest{id, hw})) {
-        pending_[key(u, id)] = Pending{nv.id, hw};
+        owner.pending[id] = Pending{nv.id, hw};
       }
     }
   }
@@ -76,10 +65,11 @@ double RttEstimateSource::filtered_transit(const std::vector<double>& rtts,
 void RttEstimateSource::on_time_response(const Delivery& d, const TimeResponse& resp) {
   require(clocks_ != nullptr, "RttEstimateSource: bind() not called");
   const NodeId owner = d.to;
-  const auto pit = pending_.find(key(owner, resp.id));
-  if (pit == pending_.end()) return;  // duplicate, stale, or post-edge-loss
+  auto& pending = owners_[static_cast<std::size_t>(owner)].pending;
+  const auto pit = pending.find(resp.id);
+  if (pit == pending.end()) return;  // duplicate, stale, or post-edge-loss
   const Pending p = pit->second;
-  pending_.erase(pit);
+  pending.erase(pit);
   if (p.peer != d.from) return;  // response relayed by the wrong peer: discard
   if (graph_.find_neighbor(owner, d.from) == nullptr) return;
   const ClockValue hw = clocks_->true_hardware(owner);

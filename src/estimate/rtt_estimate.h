@@ -56,6 +56,12 @@ class RttEstimateSource final : public SnapshotEstimateSource {
     NodeId peer = kNoNode;
     ClockValue send_hw = 0.0;
   };
+  /// One node's probe state: its id counter and in-flight probes, so a
+  /// probe round or an edge loss touches only that node's own probes.
+  struct Owner {
+    std::uint32_t next_id = 0;
+    std::unordered_map<std::uint32_t, Pending> pending;  ///< by probe id
+  };
   static constexpr double kStaleRounds = 4.0;
 
   /// Outlier-rejected mean of the window, halved into a one-way transit.
@@ -64,9 +70,8 @@ class RttEstimateSource final : public SnapshotEstimateSource {
 
   int window_;
   double outlier_;
-  std::unordered_map<std::uint64_t, EdgeSync> edges_;        ///< key(owner, peer)
-  std::unordered_map<std::uint64_t, Pending> pending_;       ///< key(owner, probe id)
-  std::unordered_map<NodeId, std::uint32_t> next_id_;        ///< per-owner probe ids
+  std::unordered_map<std::uint64_t, EdgeSync> edges_;  ///< key(owner, peer)
+  std::vector<Owner> owners_;                          ///< per node
 };
 
 /// Hook for estimate_source.cpp's builtin registration.

@@ -14,25 +14,27 @@ namespace gcs {
 RtCluster::RtCluster(const ScenarioSpec& spec, TimeSource& clock,
                      const FaultSpec& faults, std::size_t ring_capacity,
                      RtBackend backend, std::uint16_t base_port)
-    : clock_(clock), backend_(backend) {
-  // Resolved exactly as Scenario's constructor resolves it, so the hub can
-  // be sized before any replica exists; every replica then re-derives the
-  // identical edge list.
+    : clock_(clock) {
+  require(backend == RtBackend::kPipe || !faults.injects(),
+          "RtCluster: FaultSpec drop/dup/reorder/jitter apply to the pipe "
+          "backend only");
+  // Resolved exactly as Scenario's constructor resolves it, so the
+  // transports can be sized before any replica exists; every replica then
+  // re-derives the identical edge list.
   TopologyResult topo = materialize_topology(spec);
   edges_ = std::move(topo.edges);
-  if (backend_ == RtBackend::kPipe) {
-    hub_ = std::make_unique<PipeHub>(topo.n, clock, faults, ring_capacity);
-  } else if (backend_ == RtBackend::kUdp) {
-    udp_.reserve(static_cast<std::size_t>(topo.n));
-    for (NodeId u = 0; u < topo.n; ++u) {
-      udp_.push_back(std::make_unique<UdpTransport>(topo.n, u, base_port,
-                                                    &clock, faults.seed));
-    }
+  if (backend == RtBackend::kPipe) {
+    transports_.push_back(std::make_unique<PipeHub>(topo.n, clock, faults, ring_capacity));
   } else {
-    tcp_.reserve(static_cast<std::size_t>(topo.n));
+    transports_.reserve(static_cast<std::size_t>(topo.n));
     for (NodeId u = 0; u < topo.n; ++u) {
-      tcp_.push_back(std::make_unique<TcpTransport>(topo.n, u, base_port,
-                                                    clock, faults.seed));
+      if (backend == RtBackend::kUdp) {
+        transports_.push_back(std::make_unique<UdpTransport>(topo.n, u, base_port,
+                                                             &clock, faults.seed));
+      } else {
+        transports_.push_back(std::make_unique<TcpTransport>(topo.n, u, base_port,
+                                                             clock, faults.seed));
+      }
     }
   }
   nodes_.reserve(static_cast<std::size_t>(topo.n));
@@ -43,9 +45,26 @@ RtCluster::RtCluster(const ScenarioSpec& spec, TimeSource& clock,
 }
 
 RtTransport& RtCluster::transport_of(NodeId u) {
-  if (backend_ == RtBackend::kPipe) return *hub_;
-  if (backend_ == RtBackend::kUdp) return *udp_[static_cast<std::size_t>(u)];
-  return *tcp_[static_cast<std::size_t>(u)];
+  // A lone slot is the shared hub (or the only node's socket).
+  return *transports_[transports_.size() == 1 ? 0 : static_cast<std::size_t>(u)];
+}
+
+PipeHub& RtCluster::hub() {
+  auto* hub = dynamic_cast<PipeHub*>(transports_.front().get());
+  require(hub != nullptr, "RtCluster: no hub (socket backend)");
+  return *hub;
+}
+
+UdpTransport& RtCluster::udp(NodeId u) {
+  auto* udp = dynamic_cast<UdpTransport*>(&transport_of(u));
+  require(udp != nullptr, "RtCluster: not the UDP backend");
+  return *udp;
+}
+
+TcpTransport& RtCluster::tcp(NodeId u) {
+  auto* tcp = dynamic_cast<TcpTransport*>(&transport_of(u));
+  require(tcp != nullptr, "RtCluster: not the TCP backend");
+  return *tcp;
 }
 
 void RtCluster::enable_detector(const DetectorConfig& config) {
@@ -74,56 +93,28 @@ void RtCluster::chaos_restart(NodeId u) {
 }
 
 void RtCluster::chaos_link(NodeId from, NodeId to, const LinkFault& f) {
-  if (backend_ == RtBackend::kPipe) {
-    hub_->set_link_fault(from, to, f);
-  } else {
-    // Only the sender's transport owns the outbound slot; the scheduler
-    // calls this once per direction, so forwarding to the owner suffices.
-    transport_of(from).set_link_fault(from, to, f);
-  }
+  // The sender's transport owns the outbound slot; the scheduler calls this
+  // once per direction.
+  transport_of(from).set_link_fault(from, to, f);
 }
 
 void RtCluster::chaos_conn_reset(NodeId a, NodeId b) {
-  // Only the stream backend has connections to reset; over pipes and UDP
-  // the op is a no-op by design (the grammar stays backend-agnostic).
-  if (backend_ != RtBackend::kTcp) return;
-  // Each side owns its outbound connection; resetting both covers the link.
-  tcp_[static_cast<std::size_t>(a)]->request_reset(b);
-  tcp_[static_cast<std::size_t>(b)]->request_reset(a);
+  // Each side owns its outbound connection; resetting both covers the
+  // link. Transports without connections ignore the request.
+  transport_of(a).request_reset(b);
+  transport_of(b).request_reset(a);
 }
 
 std::uint64_t RtCluster::total_corrupted() const {
-  switch (backend_) {
-    case RtBackend::kPipe: return hub_->corrupted();
-    case RtBackend::kUdp: {
-      std::uint64_t sum = 0;
-      for (const auto& t : udp_) sum += t->corrupted();
-      return sum;
-    }
-    case RtBackend::kTcp: {
-      std::uint64_t sum = 0;
-      for (const auto& t : tcp_) sum += t->corrupted();
-      return sum;
-    }
-  }
-  return 0;
+  std::uint64_t sum = 0;
+  for (const auto& t : transports_) sum += t->corrupted();
+  return sum;
 }
 
 std::uint64_t RtCluster::total_rejected() const {
-  switch (backend_) {
-    case RtBackend::kPipe: return hub_->rejected();
-    case RtBackend::kUdp: {
-      std::uint64_t sum = 0;
-      for (const auto& t : udp_) sum += t->rejected();
-      return sum;
-    }
-    case RtBackend::kTcp: {
-      std::uint64_t sum = 0;
-      for (const auto& t : tcp_) sum += t->rejected();
-      return sum;
-    }
-  }
-  return 0;
+  std::uint64_t sum = 0;
+  for (const auto& t : transports_) sum += t->rejected();
+  return sum;
 }
 
 void RtCluster::schedule_samples(Time horizon, Duration period) {
@@ -217,12 +208,6 @@ std::vector<RtCluster::JoinedSample> RtCluster::join_edge(const EdgeKey& e) cons
                                sa[k].live && sb[k].live});
   }
   return out;
-}
-
-TimeSeries RtCluster::edge_skew_series(const EdgeKey& e) const {
-  TimeSeries series;
-  for (const JoinedSample& s : join_edge(e)) series.add(s.t, s.skew);
-  return series;
 }
 
 RtEdgeReport RtCluster::summarize(const EdgeKey& e, Time begin, Time end,

@@ -1,20 +1,23 @@
-// An in-process runtime cluster: N RtNode replicas over a shared transport
-// backend (PipeHub rings or per-node UDP loopback sockets) and one wall
-// clock, with race-free clock sampling and an offline per-edge skew join.
+// An in-process runtime cluster: N RtNode replicas over one transport
+// backend (PipeHub rings, or per-node UDP or TCP loopback sockets) and one
+// wall clock, with race-free clock sampling and an offline per-edge skew
+// join. The backend is named once, in the constructor: the cluster keeps
+// one transport slot per node (one shared PipeHub, or one socket transport
+// each) and reaches every backend through RtTransport after that.
 //
 // Sampling works by scheduling a kernel closure on EVERY node at the same
 // model-time grid points before the run starts: each node records its own
 // (logical, hardware) pair on its own thread at exactly t = k·period, so no
 // cross-thread clock read ever happens. After the run the cluster joins the
 // per-node series by grid index into per-edge |L_u − L_v| samples — the live
-// counterpart of metrics/skew.h, feeding the same TimeSeries recorder.
+// counterpart of metrics/skew.h.
 // Samples taken by a crashed or catching-up node are kept but flagged
 // not-live; reports and gates only consider grid points where both
 // endpoints were live.
 //
 // Chaos: the cluster is a ChaosTarget. arm_chaos() installs a script whose
-// ops it maps onto the nodes' atomic crash/restart flags and the backend's
-// lock-free LinkFault slots; run_lockstep applies due ops at each step
+// ops it maps onto the nodes' atomic crash/restart flags, the transports'
+// lock-free LinkFault slots and reset latches; run_lockstep applies due ops at each step
 // boundary (deterministic), run_threads polls them from a dedicated thread.
 // edge_report_window() then gates re-convergence per quiet phase.
 #pragma once
@@ -24,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "metrics/recorder.h"
 #include "rt/chaos.h"
 #include "rt/liveness.h"
 #include "rt/rt_node.h"
@@ -60,8 +62,9 @@ class RtCluster final : public ChaosTarget {
   /// Builds one replica per node of the resolved topology, all sharing
   /// `clock`. kPipe: one PipeHub carrying `faults`. kUdp / kTcp: one
   /// loopback socket (or listener + outbound connections) per node at
-  /// base_port + id (FaultSpec injection does not apply, but its seed
-  /// still feeds the chaos and reconnect-jitter streams).
+  /// base_port + id; only the seed of `faults` applies (it feeds the chaos
+  /// and reconnect-jitter streams), and a FaultSpec that injects anything
+  /// is rejected (throws) rather than silently ignored.
   explicit RtCluster(const ScenarioSpec& spec, TimeSource& clock,
                      const FaultSpec& faults = {},
                      std::size_t ring_capacity = 1024,
@@ -103,26 +106,15 @@ class RtCluster final : public ChaosTarget {
 
   [[nodiscard]] int size() const { return static_cast<int>(nodes_.size()); }
   [[nodiscard]] RtNode& node(NodeId u) { return *nodes_[static_cast<std::size_t>(u)]; }
-  /// Pipe backend only (throws otherwise).
-  [[nodiscard]] PipeHub& hub() {
-    require(hub_ != nullptr, "RtCluster: no hub (socket backend)");
-    return *hub_;
-  }
-  /// UDP backend only (throws otherwise).
-  [[nodiscard]] UdpTransport& udp(NodeId u) {
-    require(backend_ == RtBackend::kUdp, "RtCluster: not the UDP backend");
-    return *udp_[static_cast<std::size_t>(u)];
-  }
-  /// TCP backend only (throws otherwise).
-  [[nodiscard]] TcpTransport& tcp(NodeId u) {
-    require(backend_ == RtBackend::kTcp, "RtCluster: not the TCP backend");
-    return *tcp_[static_cast<std::size_t>(u)];
-  }
-  [[nodiscard]] RtBackend backend() const { return backend_; }
-  /// Cluster-wide transport integrity counters (summed over per-node
-  /// transports on the socket backends): chaos-injected bit flips and
-  /// rejected ingress frames. With corruption chaos armed, CI asserts the
-  /// two agree — every flip caught, none delivered.
+  /// Typed views of the transport slots, for backend-specific counters:
+  /// each throws unless the cluster was built on that backend.
+  [[nodiscard]] PipeHub& hub();
+  [[nodiscard]] UdpTransport& udp(NodeId u);
+  [[nodiscard]] TcpTransport& tcp(NodeId u);
+  /// Cluster-wide transport integrity counters, summed over the transport
+  /// slots: chaos-injected bit flips and rejected ingress frames. With
+  /// corruption chaos armed, CI asserts the two agree — every flip caught,
+  /// none delivered.
   [[nodiscard]] std::uint64_t total_corrupted() const;
   [[nodiscard]] std::uint64_t total_rejected() const;
   [[nodiscard]] const std::vector<EdgeKey>& edges() const { return edges_; }
@@ -135,10 +127,6 @@ class RtCluster final : public ChaosTarget {
   void chaos_restart(NodeId u) override;
   void chaos_link(NodeId from, NodeId to, const LinkFault& f) override;
   void chaos_conn_reset(NodeId a, NodeId b) override;
-
-  /// |L_u − L_v| per grid point for one edge, as a recorder series (all
-  /// grid points joined, live or not).
-  [[nodiscard]] TimeSeries edge_skew_series(const EdgeKey& e) const;
 
   /// Per-edge summary across every topology edge (skips warmup_samples
   /// leading grid points — convergence transient).
@@ -166,10 +154,8 @@ class RtCluster final : public ChaosTarget {
   [[nodiscard]] RtTransport& transport_of(NodeId u);
 
   TimeSource& clock_;
-  RtBackend backend_;
-  std::unique_ptr<PipeHub> hub_;                          ///< kPipe
-  std::vector<std::unique_ptr<UdpTransport>> udp_;        ///< kUdp, per node
-  std::vector<std::unique_ptr<TcpTransport>> tcp_;        ///< kTcp, per node
+  /// One shared PipeHub, or one socket transport per node.
+  std::vector<std::unique_ptr<RtTransport>> transports_;
   std::vector<std::unique_ptr<RtNode>> nodes_;
   std::vector<EdgeKey> edges_;
   std::vector<std::vector<RtSample>> samples_;  ///< [node][grid index]

@@ -27,7 +27,7 @@ PipeHub::PipeHub(int n, TimeSource& clock, const FaultSpec& faults,
   const std::size_t nn = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
   rings_.reserve(nn);
   for (std::size_t i = 0; i < nn; ++i) {
-    rings_.push_back(std::make_unique<SpscRing<WireMsg>>(ring_capacity));
+    rings_.push_back(std::make_unique<SpscRing<Held>>(ring_capacity));
   }
   chaos_.reserve(static_cast<std::size_t>(n));
   for (NodeId from = 0; from < n; ++from) chaos_.emplace_back(n, from, faults.seed);
@@ -40,8 +40,9 @@ void PipeHub::set_link_fault(NodeId from, NodeId to, const LinkFault& f) {
   chaos_[static_cast<std::size_t>(from)].set(to, f);
 }
 
-bool PipeHub::push_one(const WireMsg& m) {
-  if (!ring(m.from, m.to).push(m)) {
+bool PipeHub::push_one(const Held& h) {
+  const WireMsg& m = h.msg;
+  if (!ring(m.from, m.to).push(h)) {
     // Ring full: backpressure means loss, exactly like a saturated NIC
     // queue. The protocol tolerates loss by design — but the operator must
     // be able to see it, so it gets its own counter, per directed link.
@@ -87,14 +88,13 @@ bool PipeHub::send(const WireMsg& m) {
     // Unreachable for single-bit flips, but if the codec ever let one
     // through, delivering the decoded bytes is the honest behavior.
   }
-  WireMsg out = m;
   Duration hold = chaos.extra_delay;
   if (faults_.jitter > 0.0) hold += roll(jitter_draw_) * faults_.jitter;
   if (faults_.reorder > 0.0 && roll(reorder_draw_) < faults_.reorder) {
     hold += roll(hold_draw_) * faults_.delay;
     delayed_.fetch_add(1, std::memory_order_relaxed);
   }
-  out.deliver_at = hold > 0.0 ? clock_.now() + hold : 0.0;
+  const Held out{m, hold > 0.0 ? clock_.now() + hold : 0.0};
   const bool ok = push_one(out);
   if (faults_.dup > 0.0 && roll(dup_draw_) < faults_.dup) {
     duplicated_.fetch_add(1, std::memory_order_relaxed);
@@ -108,17 +108,17 @@ bool PipeHub::poll(NodeId self, WireMsg& out) {
   Inbox& inbox = inboxes_[static_cast<std::size_t>(self)];
   // Drain every inbound ring into the pending heap first: a freshly arrived
   // message may be due before an already-held delayed one.
-  WireMsg m;
+  Held h;
   for (NodeId from = 0; from < n_; ++from) {
     if (from == self) continue;
-    while (ring(from, self).pop(m)) {
-      inbox.pending.emplace(m, inbox.seq++);
+    while (ring(from, self).pop(h)) {
+      inbox.pending.emplace(h, inbox.seq++);
     }
   }
   if (inbox.pending.empty()) return false;
   const auto& head = inbox.pending.top();
   if (head.first.deliver_at > clock_.now()) return false;  // held back (fault delay)
-  out = head.first;
+  out = head.first.msg;
   inbox.pending.pop();
   return true;
 }

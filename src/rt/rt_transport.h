@@ -1,16 +1,18 @@
 // Runtime transports: how WireMsgs move between live nodes.
 //
-// Three backends behind one two-call interface (non-blocking send, non-
-// blocking poll):
+// Three backends behind one interface: non-blocking send and poll, the
+// chaos fault slot, the integrity counters, and a conn-reset request that
+// only a stream transport acts on. Callers above it never name a backend.
 //
 //  * PipeHub — in-process: one lock-free SPSC ring per directed node pair
 //    (sender thread is the sole producer, receiver thread the sole
 //    consumer). Faults are injected on the SENDER side, keyed by (from, to,
 //    the link's send count), so a fixed seed yields the same fault decisions
-//    regardless of thread interleaving; delayed copies carry a
-//    deliver_at stamp and are physically held back in a receiver-side
-//    pending heap until the clock passes it (which is what turns a "reorder"
-//    decision into an actual reordering relative to later sends).
+//    regardless of thread interleaving; a delayed copy travels in a hold
+//    record stamped with its release time and is physically held back in a
+//    receiver-side pending heap until the clock passes it (which is what
+//    turns a "reorder" decision into an actual reordering relative to later
+//    sends). The stamp never leaves the pipe.
 //
 //  * UdpTransport — one non-blocking UDP socket per node on 127.0.0.1,
 //    frames encoded with the length-prefixed wire format (rt/wire.h).
@@ -24,8 +26,8 @@
 // Every backend injects chaos (drop, latency storm, corrupt) through one
 // LinkChaos per sender (rt/chaos.h), which owns the per-link fault slots
 // and send counters and the storm stash. Pipe frames
-// never leave the process, so the pipe applies a storm as extra deliver_at
-// hold and a corruption by encoding, flipping and re-decoding; the socket
+// never leave the process, so the pipe applies a storm as extra hold and a
+// corruption by encoding, flipping and re-decoding; the socket
 // backends flip the encoded frame and hold it in the stash. Every
 // transport counts undecodable ingress in rejected().
 #pragma once
@@ -62,12 +64,23 @@ class RtTransport {
   /// here; a nonzero count with no corruption armed means a real integrity
   /// problem on the wire.
   [[nodiscard]] virtual std::uint64_t rejected() const = 0;
+
+  /// Chaos-injected bit flips on outbound frames. Defaulted (not pure) so a
+  /// decorating transport need not forward it; such a wrapper reads 0.
+  [[nodiscard]] virtual std::uint64_t corrupted() const { return 0; }
+
+  /// Chaos conn-reset: hard-close this node's outbound connection to
+  /// `peer`. Only a stream transport has connections, so the default is a
+  /// no-op — over pipes and datagrams the op is inert by design.
+  virtual void request_reset(NodeId peer) { (void)peer; }
 };
 
 /// Sender-side fault injection for the pipe backend. Probabilities are per
 /// message; `delay` holds a message back for uniform(0, delay] model seconds
 /// with probability `reorder` (later un-delayed messages overtake it), and
-/// `jitter` adds uniform [0, jitter) to every message.
+/// `jitter` adds uniform [0, jitter) to every message. Only the pipe injects
+/// these; the socket backends take `seed` alone (it keys their chaos and
+/// reconnect-jitter draws).
 struct FaultSpec {
   double drop = 0.0;
   double dup = 0.0;
@@ -75,6 +88,12 @@ struct FaultSpec {
   Duration delay = 0.0;   ///< held-back duration drawn for reordered messages
   Duration jitter = 0.0;  ///< baseline delivery jitter on every message
   std::uint64_t seed = 1;
+
+  /// True if any fault would fire. `delay` alone is inert: it only sizes
+  /// the hold of a reordered message.
+  [[nodiscard]] bool injects() const {
+    return drop > 0.0 || dup > 0.0 || reorder > 0.0 || jitter > 0.0;
+  }
 };
 
 class PipeHub final : public RtTransport {
@@ -105,13 +124,19 @@ class PipeHub final : public RtTransport {
   /// corruption is simulated faithfully: the frame is wire-encoded, one bit
   /// flipped, and re-decoded; a decode failure (CRC catches every single-bit
   /// flip) lands in rejected() and the frame dies in flight.
-  [[nodiscard]] std::uint64_t corrupted() const { return corrupted_.load(std::memory_order_relaxed); }
+  [[nodiscard]] std::uint64_t corrupted() const override { return corrupted_.load(std::memory_order_relaxed); }
   [[nodiscard]] std::uint64_t rejected() const override { return rejected_.load(std::memory_order_relaxed); }
 
  private:
+  /// A frame in the pipe with its fault hold: the earliest model time the
+  /// receiver may surface it (0 = at once).
+  struct Held {
+    WireMsg msg;
+    Time deliver_at = 0.0;
+  };
   struct PendingOrder {  // min-heap on (deliver_at, arrival seq)
-    bool operator()(const std::pair<WireMsg, std::uint64_t>& a,
-                    const std::pair<WireMsg, std::uint64_t>& b) const {
+    bool operator()(const std::pair<Held, std::uint64_t>& a,
+                    const std::pair<Held, std::uint64_t>& b) const {
       if (a.first.deliver_at != b.first.deliver_at) {
         return a.first.deliver_at > b.first.deliver_at;
       }
@@ -121,8 +146,8 @@ class PipeHub final : public RtTransport {
   /// Receiver-side reassembly state: ring pops land here and leave in
   /// deliver_at order. Owned exclusively by the receiver's thread.
   struct Inbox {
-    std::priority_queue<std::pair<WireMsg, std::uint64_t>,
-                        std::vector<std::pair<WireMsg, std::uint64_t>>, PendingOrder>
+    std::priority_queue<std::pair<Held, std::uint64_t>,
+                        std::vector<std::pair<Held, std::uint64_t>>, PendingOrder>
         pending;
     std::uint64_t seq = 0;
   };
@@ -131,15 +156,15 @@ class PipeHub final : public RtTransport {
     return static_cast<std::size_t>(from) * static_cast<std::size_t>(n_) +
            static_cast<std::size_t>(to);
   }
-  SpscRing<WireMsg>& ring(NodeId from, NodeId to) {
+  SpscRing<Held>& ring(NodeId from, NodeId to) {
     return *rings_[link_index(from, to)];
   }
-  bool push_one(const WireMsg& m);
+  bool push_one(const Held& h);
 
   int n_;
   TimeSource& clock_;
   FaultSpec faults_;
-  std::vector<std::unique_ptr<SpscRing<WireMsg>>> rings_;  ///< [from * n + to]
+  std::vector<std::unique_ptr<SpscRing<Held>>> rings_;  ///< [from * n + to]
   KeyedDraw drop_draw_;          ///< FaultSpec rolls, keyed like chaos_
   KeyedDraw dup_draw_;
   KeyedDraw reorder_draw_;
@@ -193,7 +218,7 @@ class UdpTransport final : public RtTransport {
   [[nodiscard]] std::uint64_t send_retries() const { return send_retries_; }
   /// Chaos-injected bit flips (applied to the encoded datagram before it
   /// hits the socket).
-  [[nodiscard]] std::uint64_t corrupted() const { return corrupted_; }
+  [[nodiscard]] std::uint64_t corrupted() const override { return corrupted_; }
   /// Undecodable ingress datagrams (truncation, foreign sender, CRC
   /// mismatch) — previously swallowed silently by poll().
   [[nodiscard]] std::uint64_t rejected() const override { return rejected_; }

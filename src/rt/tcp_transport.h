@@ -68,7 +68,7 @@ class TcpTransport final : public RtTransport {
   /// Chaos conn-reset: latch a request to hard-close (RST) the outbound
   /// connection to `peer`. Thread-safe; applied on the owning thread at the
   /// next send/poll, after which the connection re-dials through Backoff.
-  void request_reset(NodeId peer);
+  void request_reset(NodeId peer) override;
 
   [[nodiscard]] ConnState conn_state(NodeId peer) const;
   /// Consecutive failed/reset attempts on the peer's connection (bounds the
@@ -82,7 +82,7 @@ class TcpTransport final : public RtTransport {
   /// Chaos-injected drops only (pure function of the chaos script + seed).
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
   /// Chaos-injected bit flips on outbound frames.
-  [[nodiscard]] std::uint64_t corrupted() const { return corrupted_; }
+  [[nodiscard]] std::uint64_t corrupted() const override { return corrupted_; }
   /// Undecodable ingress frames (CRC mismatch etc.); framing survives — a
   /// bad frame is skipped by its length prefix, the stream stays in sync.
   [[nodiscard]] std::uint64_t rejected() const override { return rejected_; }

@@ -122,7 +122,6 @@ bool wire_decode(const std::uint8_t* buf, std::size_t len, WireMsg& out) {
   out.from = static_cast<NodeId>(get<std::uint32_t>(p));
   out.to = static_cast<NodeId>(get<std::uint32_t>(p));
   out.sent_at = get<double>(p);
-  out.deliver_at = 0.0;
   const std::size_t rest = payload_end - kHeader;
   switch (tag) {
     case 0: {

@@ -32,14 +32,13 @@
 
 namespace gcs {
 
-/// A payload in flight between runtime nodes, plus its addressing.
-/// `deliver_at` is pipe-local fault-injection state (the earliest model time
-/// the receiver may surface the message); it never goes on the wire.
+/// A payload in flight between runtime nodes, plus its addressing: exactly
+/// the fields a frame carries. Transport-private state (the pipe's fault
+/// hold, say) lives in the transport, never here.
 struct WireMsg {
   NodeId from = kNoNode;
   NodeId to = kNoNode;
   Time sent_at = 0.0;
-  Time deliver_at = 0.0;
   Payload payload{};
 };
 
@@ -59,7 +58,7 @@ std::size_t wire_encode(const WireMsg& m, std::uint8_t* buf);
 
 /// Decode one frame. False on truncation, bad version, bad tag, a length
 /// prefix disagreeing with `len`, or a CRC mismatch — the CRC is
-/// checked before any field is interpreted. `deliver_at` is left at 0.
+/// checked before any field is interpreted.
 bool wire_decode(const std::uint8_t* buf, std::size_t len, WireMsg& out);
 
 }  // namespace gcs

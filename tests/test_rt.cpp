@@ -21,6 +21,7 @@
 
 #include "estimate/rtt_estimate.h"
 #include "metrics/skew.h"
+#include "net/transport.h"
 #include "rt/chaos.h"
 #include "rt/liveness.h"
 #include "rt/rt_cluster.h"
@@ -134,16 +135,6 @@ TEST(Wire, RoundTripsEveryPayload) {
   ASSERT_TRUE(std::holds_alternative<LivenessPing>(ping.payload));
   EXPECT_EQ(std::get<LivenessPing>(ping.payload).seq, 123u);
   EXPECT_EQ(std::get<LivenessPing>(ping.payload).kind, 1u);
-}
-
-TEST(Wire, DeliverAtNeverOnTheWire) {
-  WireMsg m;
-  m.from = 0;
-  m.to = 1;
-  m.deliver_at = 99.0;  // pipe-local fault state
-  m.payload = Beacon{};
-  WireMsg out = roundtrip(m);
-  EXPECT_DOUBLE_EQ(out.deliver_at, 0.0);
 }
 
 TEST(Wire, RejectsMalformedFrames) {
@@ -1330,6 +1321,31 @@ TEST(RtCluster, LockstepRunsAreBitDeterministic) {
   }
 }
 
+TEST(RtCluster, SocketBackendsRejectFaultSpecFaults) {
+  // Only the pipe injects FaultSpec faults; a socket cluster handed one
+  // must refuse it instead of running fault-free.
+  VirtualClock clock;
+  const auto with = [](double FaultSpec::*field) {
+    FaultSpec f;
+    f.*field = 0.1;
+    return f;
+  };
+  for (const RtBackend backend : {RtBackend::kUdp, RtBackend::kTcp}) {
+    for (const auto field : {&FaultSpec::drop, &FaultSpec::dup, &FaultSpec::reorder,
+                             &FaultSpec::jitter}) {
+      EXPECT_THROW(RtCluster(rt_spec(2), clock, with(field), 1024, backend, 27400),
+                   std::runtime_error);
+    }
+  }
+  // `delay` alone sizes a reorder hold and injects nothing: accepted.
+  FaultSpec inert;
+  inert.delay = 0.2;
+  RtCluster udp(rt_spec(2), clock, inert, 1024, RtBackend::kUdp, 27400);
+  EXPECT_EQ(udp.size(), 2);
+  EXPECT_THROW((void)udp.hub(), std::runtime_error);
+  EXPECT_THROW((void)udp.tcp(0), std::runtime_error);
+}
+
 TEST(RtNode, RejectsFramesFromUnknownPeers) {
   VirtualClock clock;
   PipeHub hub(4, clock);
@@ -1633,6 +1649,59 @@ TEST(RttEstimate, ConvergesInSimulationMode) {
     const auto back = scenario.estimate_of(e.b, e.a);
     ASSERT_TRUE(back.has_value());
   }
+}
+
+/// Hand-set clocks, so an estimate source can be driven without an engine.
+struct ManualClocks final : ClockAccess {
+  std::vector<ClockValue> hw;
+  [[nodiscard]] ClockValue true_logical(NodeId u) const override { return hw[u]; }
+  [[nodiscard]] ClockValue true_hardware(NodeId u) const override { return hw[u]; }
+  [[nodiscard]] Time now() const override { return 0.0; }
+};
+
+TEST(RttEstimate, DiscardsStaleOrphanedAndMisroutedResponses) {
+  Simulator sim;
+  DynamicGraph graph(sim, 3);
+  graph.create_edge_instant(EdgeKey(0, 1), default_edge_params());
+  graph.create_edge_instant(EdgeKey(0, 2), default_edge_params());
+  Transport transport(sim, graph);
+  RttEstimateSource rtt(graph, /*probe_period=*/1.0, /*rho=*/0.0, /*mu=*/0.1,
+                        /*window=*/4, /*outlier=*/2.0);
+  ManualClocks clocks;
+  clocks.hw = {0.0, 0.0, 0.0};
+  rtt.bind(&clocks);
+  // Node 0 answered by `from` for probe `id`, stamped at send time `echo`.
+  const auto respond = [&](NodeId from, std::uint32_t id, ClockValue echo) {
+    Delivery d;
+    d.from = from;
+    d.to = 0;
+    rtt.on_time_response(d, TimeResponse{id, echo, 5.0});
+  };
+  SnapshotEstimateSource::Entry entry;
+
+  // Round 1 at H = 0: ids 0, 1 go to peer 1 and ids 2, 3 to peer 2.
+  rtt.on_probe(0, transport);
+  clocks.hw[0] = 0.2;
+  respond(1, 2, 0.0);  // peer 2's probe, relayed by peer 1
+  EXPECT_FALSE(rtt.snapshot(0, 1, entry)) << "a misrouted response was accepted";
+  rtt.on_edge_lost(0, 2);  // orphans peer 2's probes only
+  respond(2, 3, 0.0);
+  EXPECT_FALSE(rtt.snapshot(0, 2, entry)) << "a response outlived its edge";
+  respond(1, 0, 0.0);
+  ASSERT_TRUE(rtt.snapshot(0, 1, entry));
+  EXPECT_DOUBLE_EQ(entry.recv_hw, 0.2);
+  EXPECT_DOUBLE_EQ(entry.base, 5.0 + 0.1);  // half the 0.2 round trip
+
+  // Round 2 at H = 10 prunes id 1 (older than four probe periods).
+  clocks.hw[0] = 10.0;
+  rtt.on_probe(0, transport);  // ids 4, 5 to peer 1
+  respond(1, 1, 0.0);
+  ASSERT_TRUE(rtt.snapshot(0, 1, entry));
+  EXPECT_DOUBLE_EQ(entry.recv_hw, 0.2) << "a pruned probe was answered";
+  clocks.hw[0] = 10.2;
+  respond(1, 4, 10.0);
+  ASSERT_TRUE(rtt.snapshot(0, 1, entry));
+  EXPECT_DOUBLE_EQ(entry.recv_hw, 10.2);
 }
 
 TEST(RttEstimate, ProbePeriodDefaultsToBeaconPeriod) {
