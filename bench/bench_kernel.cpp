@@ -6,8 +6,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/triggers.h"
@@ -353,36 +351,4 @@ BENCHMARK(BM_SweepThroughput)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 }  // namespace
 }  // namespace gcs
 
-// BENCHMARK_MAIN with explicit-only JSON artifacts. A plain run writes no
-// file (it used to silently overwrite BENCH_kernel.json in the CWD);
-// --benchmark_out=FILE is passed through untouched, and the convenience flag
-//   --baseline_out[=NAME]
-// records the run under the repo's committed baseline directory
-// (bench/baselines/NAME, default BENCH_kernel.json — google-benchmark's
-// default out format is already json). Compare runs with benchmark's
-// tools/compare.py.
-int main(int argc, char** argv) {
-  std::vector<char*> args;
-  std::vector<std::string> rewritten;  // owns rewritten flags (argv stability)
-  rewritten.reserve(static_cast<std::size_t>(argc));
-  for (char* arg : std::vector<char*>(argv, argv + argc)) {
-    const std::string_view view(arg);
-    if (view == "--baseline_out" || view.starts_with("--baseline_out=")) {
-      std::string name = "BENCH_kernel.json";
-      if (const auto eq = view.find('='); eq != std::string_view::npos) {
-        name = std::string(view.substr(eq + 1));
-      }
-      rewritten.push_back("--benchmark_out=" GCS_SOURCE_DIR "/bench/baselines/" +
-                          name);
-      args.push_back(rewritten.back().data());
-    } else {
-      args.push_back(arg);
-    }
-  }
-  int args_count = static_cast<int>(args.size());
-  benchmark::Initialize(&args_count, args.data());
-  if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

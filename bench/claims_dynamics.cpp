@@ -53,7 +53,7 @@ ClaimBody baseline_comparison(const ParamMap& args) {
       double old_edge = 0.0;
       for (int step = 0; step < 300; ++step) {
         s.run_for(0.5);
-        old_edge = std::max(old_edge, worst_skew_over(s.engine(), old_edges));
+        old_edge = std::max(old_edge, worst_pair_skew(s.engine(), old_edges));
       }
       double max_jump = 0.0;
       for (NodeId u = 0; u < n; ++u) {
@@ -117,7 +117,7 @@ ClaimBody stabilization(const ParamMap& args) {
       s.run_for(20.0);
       const EdgeKey shortcut(0, n - 1);
       const Time t_insert = s.sim().now();
-      const double skew_at_insert = worst_skew_over(s.engine(), {shortcut});
+      const double skew_at_insert = worst_pair_skew(s.engine(), {shortcut});
       s.graph().create_edge(shortcut, s.spec().edge_params);
 
       const double kappa = metric_kappa(s.engine(), shortcut);
@@ -133,7 +133,7 @@ ClaimBody stabilization(const ParamMap& args) {
           t_insert + 3.0 * s.spec().aopt.insertion_duration_static(ghat) + 500.0;
       while (s.sim().now() < horizon) {
         s.run_for(2.0);
-        const double skew = worst_skew_over(s.engine(), {shortcut});
+        const double skew = worst_pair_skew(s.engine(), {shortcut});
         if (skew <= bound) {
           if (below_since == kTimeInf) below_since = s.sim().now();
           if (stable_at == kTimeInf && s.sim().now() - below_since >= required_hold) {
@@ -419,14 +419,14 @@ ClaimBody lower_bound(const ParamMap& args) {
         double old_mj = 0.0;
         for (int step = 0; step < 200; ++step) {
           s.run_for(1.0);
-          old_mj = std::max(old_mj, worst_skew_over(s.engine(), old_edges));
+          old_mj = std::max(old_mj, worst_pair_skew(s.engine(), old_edges));
         }
         r.values["old_edge"] = old_mj;
         return;
       }
 
       // AOPT phase.
-      const double hidden = worst_skew_over(s.engine(), {shortcut});
+      const double hidden = worst_pair_skew(s.engine(), {shortcut});
       const Time t0 = s.sim().now();
       s.graph().create_edge(shortcut, s.spec().edge_params);
       const double kappa = metric_kappa(s.engine(), shortcut);
@@ -440,8 +440,8 @@ ClaimBody lower_bound(const ParamMap& args) {
       while (s.sim().now() < horizon) {
         s.run_for(2.0);
         gmax = std::max(gmax, s.engine().true_global_skew());
-        old_aopt = std::max(old_aopt, worst_skew_over(s.engine(), old_edges));
-        if (worst_skew_over(s.engine(), {shortcut}) <= bound) {
+        old_aopt = std::max(old_aopt, worst_pair_skew(s.engine(), old_edges));
+        if (worst_pair_skew(s.engine(), {shortcut}) <= bound) {
           close_at = s.sim().now();
           break;
         }
@@ -548,7 +548,7 @@ ClaimBody ablation_insertion(const ParamMap& args) {
         const auto report = check_legality(s.engine(), ghat);
         worst_margin = std::max(worst_margin, report.worst_margin);
         worst_old_edge =
-            std::max(worst_old_edge, worst_skew_over(s.engine(), old_edges));
+            std::max(worst_old_edge, worst_pair_skew(s.engine(), old_edges));
         // "Fully inserted": on all levels AND (weight decay) κ reached final.
         if (time_to_full == kTimeInf &&
             s.aopt(0).edge_in_level(nodes - 1, 1 << 20) &&
@@ -574,7 +574,7 @@ ClaimBody ablation_insertion(const ParamMap& args) {
       r.values["worst_margin"] = worst_margin;
       r.values["worst_old_edge"] = worst_old_edge;
       r.values["time_to_full"] = time_to_full;
-      r.values["new_edge_final"] = worst_skew_over(s.engine(), {shortcut});
+      r.values["new_edge_final"] = worst_pair_skew(s.engine(), {shortcut});
     });
 
     Table table("E10 — insertion-policy ablation (line n=" + std::to_string(n) +

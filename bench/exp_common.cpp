@@ -1,7 +1,5 @@
 #include "exp_common.h"
 
-#include <cmath>
-
 namespace gcs::bench {
 
 std::vector<RunResult> Claim::run(const Sweep& sweep, SweepRunner::RunFn run_fn,
@@ -62,15 +60,6 @@ void apply_adversarial_delays(ScenarioSpec& spec, double delay_max,
   spec.delays = DelayMode::kMax;
   spec.engine.beacon_period = beacon_period;
   spec.engine.tick_period = beacon_period / 2.0;
-}
-
-double worst_skew_over(Engine& engine, const std::vector<EdgeKey>& edges) {
-  double worst = 0.0;
-  for (const auto& e : edges) {
-    worst = std::max(worst,
-                     std::fabs(engine.logical(e.a) - engine.logical(e.b)));
-  }
-  return worst;
 }
 
 void scatter_clocks_linearly(Scenario& s, double span) {

@@ -63,9 +63,6 @@ ScenarioSpec fast_line_spec(int n);
 void apply_adversarial_delays(ScenarioSpec& spec, double delay_max = 2.0,
                               double beacon_period = 1.0);
 
-/// Max |L_a - L_b| over a fixed set of edges at the current instant.
-double worst_skew_over(Engine& engine, const std::vector<EdgeKey>& edges);
-
 /// Scatter logical clocks linearly across node ids up to `span` end-to-end
 /// (the standard way the experiments leave the steady regime).
 void scatter_clocks_linearly(Scenario& s, double span);

@@ -10,7 +10,7 @@
 //   rt_loopback --nodes=4 --seconds=3 --time-scale=100        # pipe backend
 //   rt_loopback --drop=0.1 --dup=0.05 --reorder=0.1 --jitter=0.02
 //   rt_loopback --transport=udp --nodes=2 --seconds=3
-//   rt_loopback --transport=tcp --nodes=4 --seconds=12 --time-scale=10 \
+//   rt_loopback --transport=tcp --nodes=4 --seconds=12 --time-scale=10
 //       --detector --chaos=corrupt --check-bound
 //   rt_loopback --seconds=30 --time-scale=10 --check-bound --csv=skew.csv
 //   rt_loopback --detector --chaos=partition --chaos-seed=7 --check-bound

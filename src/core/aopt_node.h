@@ -67,7 +67,6 @@ class AoptNode final : public Algorithm {
   [[nodiscard]] long long bound_settled() const { return bound_settled_; }
   [[nodiscard]] bool last_fast_trigger() const { return last_decision_.fast; }
   [[nodiscard]] bool last_slow_trigger() const { return last_decision_.slow; }
-  [[nodiscard]] const TriggerDecision& last_decision() const { return last_decision_; }
 
   /// True iff a Lemma 5.3 violation (both triggers at once) was ever seen.
   [[nodiscard]] bool saw_trigger_conflict() const { return saw_conflict_; }

@@ -54,27 +54,27 @@ EdgeConstants AlgoParams::edge_constants(const EdgeParams& e) const {
 
 ValidationResult AlgoParams::validate() const {
   ValidationResult r;
-  if (!(rho > 0.0 && rho < 1.0)) r.errors.push_back("rho must be in (0,1)");
-  if (!(mu > 0.0)) r.errors.push_back("mu must be positive");
+  if (!(rho > 0.0 && rho < 1.0)) r.errors.emplace_back("rho must be in (0,1)");
+  if (!(mu > 0.0)) r.errors.emplace_back("mu must be positive");
   if (rho > 0.0 && rho < 1.0) {
     const double mu_min = 2.0 * rho / (1.0 - rho);
     if (mu <= mu_min) {
-      r.errors.push_back("mu must exceed 2*rho/(1-rho) so that sigma > 1 (eq. 8)");
+      r.errors.emplace_back("mu must exceed 2*rho/(1-rho) so that sigma > 1 (eq. 8)");
     }
   }
   if (mu > 0.1) {
-    r.warnings.push_back("mu > 1/10 violates eq. (7); the §5 analysis constants "
-                         "no longer apply");
+    r.warnings.emplace_back("mu > 1/10 violates eq. (7); the §5 analysis constants "
+                            "no longer apply");
   }
-  if (!(iota > 0.0)) r.errors.push_back("iota must be positive (Def. 4.4)");
-  if (!(kappa_slack > 0.0)) r.errors.push_back("kappa_slack must be positive (eq. 9 is strict)");
+  if (!(iota > 0.0)) r.errors.emplace_back("iota must be positive (Def. 4.4)");
+  if (!(kappa_slack > 0.0)) r.errors.emplace_back("kappa_slack must be positive (eq. 9 is strict)");
   if (!(delta_frac > 0.0 && delta_frac < 1.0)) {
-    r.errors.push_back("delta_frac must be in (0,1) (Def. 4.6 constraint is an open interval)");
+    r.errors.emplace_back("delta_frac must be in (0,1) (Def. 4.6 constraint is an open interval)");
   }
-  if (!(gtilde_static > 0.0)) r.errors.push_back("gtilde_static must be positive");
+  if (!(gtilde_static > 0.0)) r.errors.emplace_back("gtilde_static must be positive");
   if (r.errors.empty() && sigma() < 3.0) {
-    r.warnings.push_back("sigma < 3: outside the regime assumed by Lemma 5.20 "
-                         "(any sigma > 1 works with adjusted insertion times)");
+    r.warnings.emplace_back("sigma < 3: outside the regime assumed by Lemma 5.20 "
+                            "(any sigma > 1 works with adjusted insertion times)");
   }
   if (insertion == InsertionPolicy::kStagedDynamic) {
     const double b_min = 320.0 * 128.0 / ((1.0 - rho) * (1.0 - rho));
@@ -86,7 +86,7 @@ ValidationResult AlgoParams::validate() const {
       r.warnings.push_back(msg.str());
     }
   }
-  if (level_cap < 1) r.errors.push_back("level_cap must be >= 1");
+  if (level_cap < 1) r.errors.emplace_back("level_cap must be >= 1");
   return r;
 }
 

@@ -95,7 +95,6 @@ class LivenessDetector {
 
   [[nodiscard]] PeerLiveness state(NodeId peer) const;
   [[nodiscard]] Time last_heard(NodeId peer) const;
-  [[nodiscard]] std::size_t peer_count() const { return peers_.size(); }
 
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
   [[nodiscard]] std::uint64_t revivals() const { return revivals_; }
