@@ -675,10 +675,14 @@ std::uint64_t fold_outcome(std::uint64_t h, bool dropped, bool corrupted) {
 /// sinks bind; stream sinks listen and accept the sender's one connection.
 class RawSink {
  public:
-  RawSink(int type, std::uint16_t port) : stream_(type == SOCK_STREAM) {
+  /// A nonzero `rcvbuf` shrinks the receive buffer (an accepted connection
+  /// inherits the listener's), so a sink that stops reading soon stalls the
+  /// sender.
+  RawSink(int type, std::uint16_t port, int rcvbuf = 0) : stream_(type == SOCK_STREAM) {
     fd_ = ::socket(AF_INET, type | SOCK_NONBLOCK, 0);
     int one = 1;
     ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    if (rcvbuf > 0) ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -867,6 +871,71 @@ TEST(TcpTransportSuite, ChaosDecisionsMatchThePin) {
     EXPECT_EQ(a.conn_down(), 0u);
     EXPECT_EQ(a.backpressure(), 0u);
   }
+}
+
+// The stream contract: send() may only queue a frame; the sender's next
+// poll() puts it on the wire, frames in send order. A burst larger than the
+// socket buffers leaves the tail in the transport (the write stops partway,
+// possibly inside a frame), and later polls resume it byte-exactly.
+TEST(TcpTransportSuite, NextPollPutsQueuedFramesOnTheWireInSendOrder) {
+  constexpr std::uint16_t kBase = 26230;
+  VirtualClock clock;
+  RawSink sink(SOCK_STREAM, kBase + 1, /*rcvbuf=*/4096);
+  ASSERT_TRUE(sink.ok());
+  TcpConfig cfg;
+  cfg.write_buffer_cap = std::size_t{16} << 20;  // hold the whole burst
+  TcpTransport a(2, 0, kBase, clock, 1, cfg);
+  std::uint64_t digest = kFnvOffset;
+  std::size_t total = 0;
+  const auto queue = [&](double tag) {
+    const WireMsg m = beacon_msg(0, 1, tag);
+    EXPECT_TRUE(a.send(m));
+    std::uint8_t frame[kWireMax];
+    const std::size_t len = wire_encode(m, frame);
+    for (std::size_t i = 0; i < len; ++i) digest = fnv_step(digest, frame[i]);
+    total += len;
+  };
+  WireMsg scratch;
+  // Establish the connection with a first frame.
+  queue(0.0);
+  for (int i = 0; i < 2000 && sink.bytes() < total; ++i) {
+    a.poll(0, scratch);
+    sink.drain();
+    if (sink.bytes() < total) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(sink.bytes(), total) << "the first frame never arrived";
+  ASSERT_EQ(a.conn_state(1), TcpTransport::ConnState::kEstablished);
+
+  // A few frames: all of them readable after one poll.
+  for (int i = 1; i <= 3; ++i) queue(i);
+  a.poll(0, scratch);
+  sink.drain();
+  EXPECT_EQ(sink.bytes(), total) << "queued frames not written by the next poll";
+  EXPECT_EQ(sink.digest(), digest);
+
+  // A burst larger than the sink's receive buffer plus the largest send
+  // buffer Linux grants by default (tcp_wmem max, 4 MiB): one poll writes
+  // what the kernel takes; the sink, read without further polls, stops short.
+  constexpr std::size_t kBurstBytes = std::size_t{8} << 20;
+  const std::size_t before = total;
+  int burst = 0;
+  while (total - before < kBurstBytes) queue(100.0 + burst++);
+  a.poll(0, scratch);
+  for (int i = 0; i < 50; ++i) {
+    sink.drain();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_LT(sink.bytes(), total) << "the burst never backed up into the transport";
+  for (int i = 0; i < 5000 && sink.bytes() < total; ++i) {
+    a.poll(0, scratch);
+    sink.drain();
+    if (sink.bytes() < total) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(sink.bytes(), total);
+  EXPECT_EQ(sink.digest(), digest) << "bytes lost, repeated or out of order";
+  EXPECT_EQ(a.sent(), static_cast<std::uint64_t>(burst) + 4u);
+  EXPECT_EQ(a.backpressure(), 0u);
+  EXPECT_EQ(a.conn_down(), 0u);
 }
 
 /// Latency-storm schedule shared by the socket backends, on link 0 -> 1:
@@ -1565,6 +1634,32 @@ TEST(RtClusterTcp, LockstepChaosRunsAreBitDeterministic) {
   EXPECT_GE(a.cluster->tcp(1).resets(), 1u);
   EXPECT_GE(a.cluster->tcp(2).resets(), 1u);
   EXPECT_EQ(a.cluster->tcp(1).resets(), b.cluster->tcp(1).resets());
+}
+
+TEST(RtClusterTcp, FaultFreeLockstepMatchesThePin) {
+  // A fault-free 4-node TCP lockstep run, pinned: every node's sample series
+  // and each transport's frame counters fold into one digest. Lockstep over
+  // loopback makes the run a pure function of (spec, seed), so a change to
+  // when the transport puts frames on the wire or reads them back — one that
+  // moves a frame by a pump — fails here even when the cluster still
+  // converges.
+  const LockstepRun run = run_tcp_chaos_cluster(rt_spec(4), "", 50.0, 26220);
+  std::uint64_t h = kFnvOffset;
+  for (const auto& series : run.cluster->samples()) {
+    for (const RtSample& s : series) {
+      h = fnv_step(h, std::bit_cast<std::uint64_t>(s.t));
+      h = fnv_step(h, std::bit_cast<std::uint64_t>(s.logical));
+      h = fnv_step(h, std::bit_cast<std::uint64_t>(s.hardware));
+      h = fnv_step(h, s.live ? 1u : 0u);
+    }
+  }
+  for (NodeId u = 0; u < run.cluster->size(); ++u) {
+    const TcpTransport& tcp = run.cluster->tcp(u);
+    h = fnv_step(fnv_step(h, tcp.sent()), tcp.received());
+    EXPECT_EQ(tcp.conn_down(), 0u) << "node " << u;
+    EXPECT_EQ(tcp.backpressure(), 0u) << "node " << u;
+  }
+  EXPECT_EQ(h, 0x21d23389a1d2fda5ULL) << std::hex << "0x" << h;
 }
 
 TEST(RtClusterTcp, ReconnectStormRecoversWithBoundedBackoff) {
