@@ -74,14 +74,21 @@ Time RtNode::pump() {
   // Drain the ingress. Injected deliveries run at the current model instant;
   // the engine defers trigger evaluation to the instant flush, which the
   // trailing (degenerate) run_until forces before we hand the thread back.
+  // A stream transport puts a sent frame on the wire at the next poll, so
+  // a pass whose liveness or flush step sent anything runs again: the pump
+  // always ends with a poll after its last send.
   WireMsg m;
-  bool work = false;
-  while (net_.poll(self_, m)) {
-    handle_ingress(m);
-    work = true;
+  for (;;) {
+    bool work = false;
+    while (net_.poll(self_, m)) {
+      handle_ingress(m);
+      work = true;
+    }
+    const std::uint64_t polled_after = egress_;
+    if (detector_ && apply_liveness(sim.now())) work = true;
+    if (work) sim.run_until(sim.now());
+    if (egress_ == polled_after) break;
   }
-  if (detector_ && apply_liveness(sim.now())) work = true;
-  if (work) sim.run_until(sim.now());
   return sim.now();
 }
 

@@ -23,6 +23,14 @@ void set_nodelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
+/// Length of the wire frame starting at `frame` (its prefix plus the body
+/// the prefix counts).
+std::size_t frame_length(const std::uint8_t* frame) {
+  std::uint16_t body = 0;
+  std::memcpy(&body, frame, 2);
+  return static_cast<std::size_t>(body) + 2;
+}
+
 sockaddr_in loopback_addr(std::uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -116,10 +124,13 @@ void TcpTransport::fail_connection(OutConn& c, Time now, bool hard_reset) {
     c.fd = -1;
   }
   ++resets_;
-  conn_down_ += c.wbuf.size();  // frames that died with the connection
+  // Frames that died with the connection, a partly written head included.
+  for (std::size_t at = c.head; at < c.wbuf.size(); at += frame_length(&c.wbuf[at])) {
+    ++conn_down_;
+  }
   c.wbuf.clear();
-  c.head_written = 0;
-  c.wbuf_bytes = 0;
+  c.head = 0;
+  c.written = 0;
   c.state = ConnState::kBackoff;
   // Exponential backoff with deterministic seeded jitter: attempt k waits
   // min(base * 2^k, max) * (1 + jitter * u), u keyed by (self, peer, the
@@ -159,7 +170,7 @@ void TcpTransport::dial(OutConn& c, NodeId peer, Time now) {
   }
 }
 
-void TcpTransport::progress(OutConn& c, NodeId peer, Time now) {
+void TcpTransport::advance(OutConn& c, NodeId peer, Time now) {
   switch (c.state) {
     case ConnState::kClosed:
       dial(c, peer, now);
@@ -179,12 +190,10 @@ void TcpTransport::progress(OutConn& c, NodeId peer, Time now) {
         c.state = ConnState::kEstablished;
         c.attempt = 0;
         ++reconnects_;
-        flush_wbuf(c, now);
       }
       break;
     }
     case ConnState::kEstablished:
-      flush_wbuf(c, now);
       break;
   }
 }
@@ -204,42 +213,49 @@ void TcpTransport::consume_reset_requests(Time now) {
 
 bool TcpTransport::enqueue_frame(OutConn& c, const std::uint8_t* frame,
                                  std::size_t len) {
-  if (c.wbuf_bytes + len > config_.write_buffer_cap) {
+  if (c.wbuf.size() - c.head + len > config_.write_buffer_cap) {
     ++backpressure_;
     return false;
   }
-  c.wbuf.emplace_back(frame, frame + len);
-  c.wbuf_bytes += len;
+  c.wbuf.insert(c.wbuf.end(), frame, frame + len);
   ++sent_;
   return true;
 }
 
 void TcpTransport::flush_wbuf(OutConn& c, Time now) {
-  while (!c.wbuf.empty()) {
-    const std::vector<std::uint8_t>& head = c.wbuf.front();
-    const ssize_t rc = ::send(c.fd, head.data() + c.head_written,
-                              head.size() - c.head_written, MSG_NOSIGNAL);
-    if (rc < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // kernel full
+  const ssize_t rc = ::send(c.fd, c.wbuf.data() + c.written,
+                            c.wbuf.size() - c.written, MSG_NOSIGNAL);
+  if (rc < 0) {
+    if (errno != EAGAIN && errno != EWOULDBLOCK) {
       fail_connection(c, now, /*hard_reset=*/false);
-      return;
     }
-    c.head_written += static_cast<std::size_t>(rc);
-    if (c.head_written < head.size()) return;  // partial write, retry later
-    c.wbuf_bytes -= head.size();
-    c.head_written = 0;
-    c.wbuf.pop_front();
+    return;  // kernel full: the next poll retries
+  }
+  c.written += static_cast<std::size_t>(rc);
+  if (c.written == c.wbuf.size()) {
+    c.wbuf.clear();
+    c.head = 0;
+    c.written = 0;
+    return;
+  }
+  // Partial write: step the head past the frames now wholly on the wire,
+  // and drop them once they are most of the buffer.
+  while (c.head + frame_length(&c.wbuf[c.head]) <= c.written) {
+    c.head += frame_length(&c.wbuf[c.head]);
+  }
+  if (c.head > c.wbuf.size() / 2) {
+    c.wbuf.erase(c.wbuf.begin(), c.wbuf.begin() + static_cast<std::ptrdiff_t>(c.head));
+    c.written -= c.head;
+    c.head = 0;
   }
 }
 
-void TcpTransport::flush_stash(Time now) {
+void TcpTransport::release_stash(Time now) {
   chaos_.release_due(now, [&](const std::uint8_t* frame, std::size_t len, NodeId to) {
     OutConn& c = out_[static_cast<std::size_t>(to)];
-    progress(c, to, now);
+    advance(c, to, now);
     if (c.state == ConnState::kEstablished || c.state == ConnState::kConnecting) {
-      if (enqueue_frame(c, frame, len) && c.state == ConnState::kEstablished) {
-        flush_wbuf(c, now);
-      }
+      enqueue_frame(c, frame, len);
     } else {
       ++conn_down_;
     }
@@ -250,9 +266,9 @@ bool TcpTransport::send(const WireMsg& m) {
   require(m.to >= 0 && m.to < n_ && m.to != self_, "TcpTransport: bad addressing");
   const Time now = clock_.now();
   consume_reset_requests(now);
-  flush_stash(now);
+  release_stash(now);
   OutConn& c = out_[static_cast<std::size_t>(m.to)];
-  progress(c, m.to, now);
+  advance(c, m.to, now);
   const ChaosDecision chaos = chaos_.decide(m.to);
   if (chaos.drop) {
     ++dropped_;
@@ -274,9 +290,7 @@ bool TcpTransport::send(const WireMsg& m) {
     chaos_.stash(now + chaos.extra_delay, frame, len, m.to);
     return true;
   }
-  if (!enqueue_frame(c, frame, len)) return false;
-  if (c.state == ConnState::kEstablished) flush_wbuf(c, now);
-  return true;
+  return enqueue_frame(c, frame, len);
 }
 
 void TcpTransport::accept_pending() {
@@ -292,9 +306,7 @@ void TcpTransport::accept_pending() {
 
 void TcpTransport::parse_frames(InConn& c) {
   while (c.rbuf.size() - c.consumed >= 2) {
-    std::uint16_t body = 0;
-    std::memcpy(&body, c.rbuf.data() + c.consumed, 2);
-    const std::size_t frame_len = static_cast<std::size_t>(body) + 2;
+    const std::size_t frame_len = frame_length(c.rbuf.data() + c.consumed);
     if (frame_len > kWireMax) {
       // A corrupted length prefix poisons the stream — there is no way to
       // resync. Drop the connection; the peer's reconnect machine re-dials.
@@ -317,31 +329,45 @@ void TcpTransport::parse_frames(InConn& c) {
   }
 }
 
-void TcpTransport::read_connections() {
-  for (InConn& c : in_) {
-    std::uint8_t chunk[4096];
-    for (;;) {
-      const ssize_t rc = ::recv(c.fd, chunk, sizeof(chunk), 0);
-      if (rc > 0) {
-        c.rbuf.insert(c.rbuf.end(), chunk, chunk + rc);
-        continue;
-      }
-      if (rc < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      // EOF or a real error (ECONNRESET from a chaos conn-reset): the
-      // sender side owns re-establishment; we just clean up.
-      ::close(c.fd);
-      c.fd = -1;
-      break;
+void TcpTransport::read_connection(InConn& c) {
+  std::uint8_t chunk[4096];
+  for (;;) {
+    const ssize_t rc = ::recv(c.fd, chunk, sizeof(chunk), 0);
+    if (rc > 0) {
+      c.rbuf.insert(c.rbuf.end(), chunk, chunk + rc);
+      // A short read took everything the kernel held.
+      if (static_cast<std::size_t>(rc) < sizeof(chunk)) break;
+      continue;
     }
-    if (c.fd >= 0 || !c.rbuf.empty()) parse_frames(c);
-    if (c.consumed == c.rbuf.size()) {
-      c.rbuf.clear();
-      c.consumed = 0;
-    } else if (c.consumed > sizeof(chunk)) {
-      c.rbuf.erase(c.rbuf.begin(),
-                   c.rbuf.begin() + static_cast<std::ptrdiff_t>(c.consumed));
-      c.consumed = 0;
-    }
+    if (rc < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    // EOF or a real error (ECONNRESET from a chaos conn-reset): the
+    // sender side owns re-establishment; we just clean up.
+    ::close(c.fd);
+    c.fd = -1;
+    break;
+  }
+  if (c.fd >= 0 || !c.rbuf.empty()) parse_frames(c);
+  if (c.consumed == c.rbuf.size()) {
+    c.rbuf.clear();
+    c.consumed = 0;
+  } else if (c.consumed > sizeof(chunk)) {
+    c.rbuf.erase(c.rbuf.begin(),
+                 c.rbuf.begin() + static_cast<std::ptrdiff_t>(c.consumed));
+    c.consumed = 0;
+  }
+}
+
+void TcpTransport::sweep() {
+  sweep_fds_.clear();
+  sweep_fds_.push_back(pollfd{listen_fd_, POLLIN, 0});
+  for (const InConn& c : in_) sweep_fds_.push_back(pollfd{c.fd, POLLIN, 0});
+  if (::poll(sweep_fds_.data(), sweep_fds_.size(), 0) <= 0) return;
+  const std::size_t polled = in_.size();
+  if (sweep_fds_[0].revents != 0) accept_pending();
+  // In accept order, as the frames' arrival order; connections accepted
+  // just now were not polled and may already hold their first frames.
+  for (std::size_t i = 0; i < in_.size(); ++i) {
+    if (i >= polled || sweep_fds_[i + 1].revents != 0) read_connection(in_[i]);
   }
   in_.erase(std::remove_if(in_.begin(), in_.end(),
                            [](const InConn& c) { return c.fd < 0; }),
@@ -352,16 +378,18 @@ bool TcpTransport::poll(NodeId self, WireMsg& out) {
   require(self == self_, "TcpTransport: instance serves one node");
   const Time now = clock_.now();
   consume_reset_requests(now);
-  flush_stash(now);
-  // Progress every non-idle outbound connection: finish handshakes, drain
-  // write buffers, re-dial expired backoffs (a peer we have traffic for
-  // should come back even between sends — liveness probes depend on it).
+  release_stash(now);
+  // Progress every non-idle outbound connection: finish handshakes, write
+  // out everything queued since the last poll, re-dial expired backoffs (a
+  // peer we have traffic for should come back even between sends —
+  // liveness probes depend on it).
   for (NodeId peer = 0; peer < n_; ++peer) {
     OutConn& c = out_[static_cast<std::size_t>(peer)];
-    if (c.state != ConnState::kClosed) progress(c, peer, now);
+    if (c.state == ConnState::kClosed) continue;
+    advance(c, peer, now);
+    if (c.state == ConnState::kEstablished && !c.wbuf.empty()) flush_wbuf(c, now);
   }
-  accept_pending();
-  read_connections();
+  if (pending_.empty()) sweep();
   if (pending_.empty()) return false;
   out = pending_.front();
   pending_.pop_front();

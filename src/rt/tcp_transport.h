@@ -28,7 +28,20 @@
 // (bounded per-connection buffering; a full buffer counts backpressure(),
 // never an injected fault). Chaos conn-reset requests are latched in
 // atomics and consumed on the owning thread, like RtNode's admin flags.
+//
+// Syscalls are batched per poll(), not per frame:
+//  * send() only queues the encoded frame in the peer's byte buffer (it
+//    still dials or re-dials the peer and takes its chaos decision). The
+//    frame leaves at the sender's next poll(), whose progress pass writes
+//    everything queued for a peer in one write; RtNode::pump always ends
+//    with a poll() after its last send.
+//  * poll() sweeps the sockets only when the decoded frames of the last
+//    sweep are used up: one ::poll() over the listener and the inbound
+//    connections, then reads on the ready ones, stopping at a short read.
+//    Connections accepted in a sweep are read in that same sweep.
 #pragma once
+
+#include <poll.h>
 
 #include <cstdint>
 #include <deque>
@@ -105,11 +118,13 @@ class TcpTransport final : public RtTransport {
     int attempt = 0;            ///< consecutive failures (backoff exponent)
     std::uint64_t backoffs = 0; ///< backoffs armed so far: the jitter draw's k
     Duration last_backoff = 0.0;
-    /// Unwritten frames, whole-frame granularity (head may be partially
-    /// written — head_written bytes of wbuf.front() are already out).
-    std::deque<std::vector<std::uint8_t>> wbuf;
-    std::size_t head_written = 0;
-    std::size_t wbuf_bytes = 0;  ///< total buffered bytes, capped by config
+    /// Queued frames back to back; each frame's length prefix marks where
+    /// the next begins. Bytes before `written` are already on the wire;
+    /// `head` is the start of the first frame not wholly written, so
+    /// [head, end) holds the frames still owed to the peer.
+    std::vector<std::uint8_t> wbuf;
+    std::size_t head = 0;
+    std::size_t written = 0;
   };
   struct InConn {
     int fd = -1;
@@ -117,14 +132,15 @@ class TcpTransport final : public RtTransport {
     std::size_t consumed = 0;        ///< parsed prefix of rbuf
   };
   void consume_reset_requests(Time now);
-  void progress(OutConn& c, NodeId peer, Time now);
+  void advance(OutConn& c, NodeId peer, Time now);
   void dial(OutConn& c, NodeId peer, Time now);
   void fail_connection(OutConn& c, Time now, bool hard_reset);
   bool enqueue_frame(OutConn& c, const std::uint8_t* frame, std::size_t len);
   void flush_wbuf(OutConn& c, Time now);
-  void flush_stash(Time now);
+  void release_stash(Time now);
+  void sweep();
   void accept_pending();
-  void read_connections();
+  void read_connection(InConn& c);
   void parse_frames(InConn& c);
 
   int n_;
@@ -136,6 +152,7 @@ class TcpTransport final : public RtTransport {
   std::vector<OutConn> out_;       ///< per peer, owner-thread only
   std::vector<InConn> in_;         ///< accepted connections, owner-thread only
   std::deque<WireMsg> pending_;    ///< decoded frames awaiting poll()
+  std::vector<pollfd> sweep_fds_;  ///< listener + in_, rebuilt per sweep
   LinkChaos chaos_;                ///< outbound links, owner-thread only
   KeyedDraw backoff_draw_;         ///< reconnect jitter
   std::unique_ptr<std::atomic<bool>[]> reset_requests_;  ///< per destination
