@@ -86,6 +86,7 @@ int main(int argc, char** argv) {
 
   const double horizon = flags.get("horizon", 500.0);
   const double sample = flags.get("sample", 5.0);
+  if (!(sample > 0.0)) return fail_usage("--sample must be positive");
 
   // ---- sweep mode: expand one axis and run the grid on a thread pool ----
   if (flags.has("sweep")) {
@@ -123,6 +124,12 @@ int main(int argc, char** argv) {
   }
 
   // ---- single run ----
+  // The report reads the sampled series; a sweep instead clamps its one
+  // sample to the horizon.
+  if (sample > horizon) {
+    return fail_usage("--sample=" + format_double(sample) + " exceeds --horizon=" +
+                      format_double(horizon) + ": the run would take no sample");
+  }
   const auto validation = spec.aopt.validate();
   std::cout << validation.str();
 

@@ -18,9 +18,6 @@ void NodeApi::set_logical_value(ClockValue v) { engine_.set_logical_value(id_, v
 const std::vector<NeighborView>& NodeApi::neighbors() const {
   return engine_.graph_.view_neighbors(id_);
 }
-Time NodeApi::neighbor_since(NodeId peer) const {
-  return engine_.graph_.view_since(id_, peer);
-}
 const EdgeParams& NodeApi::edge_params(NodeId peer) const {
   return engine_.graph_.params(EdgeKey(id_, peer));
 }

@@ -61,7 +61,6 @@ class NodeApi {
 
   /// Neighbors in this node's current view (N_u(t)), sorted by peer id.
   [[nodiscard]] const std::vector<NeighborView>& neighbors() const;
-  [[nodiscard]] Time neighbor_since(NodeId peer) const;
   [[nodiscard]] const EdgeParams& edge_params(NodeId peer) const;
 
   /// ε_e the estimate layer guarantees for the edge to `peer` (eq. 1).

@@ -183,7 +183,6 @@ bool UdpTransport::transmit(const std::uint8_t* frame, std::size_t len, NodeId t
     const bool transient =
         rc < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == ENOBUFS);
     if (!transient) break;
-    ++send_retries_;
   }
   // A real socket failure, NOT an injected fault: dropped() stays a pure
   // function of the chaos script.

@@ -50,7 +50,10 @@ class RtTransport {
   virtual ~RtTransport() = default;
 
   /// Non-blocking. False if the message could not be queued (backpressure /
-  /// socket error) — callers treat that as a drop, never as fatal.
+  /// socket error) — callers treat that as a drop, never as fatal. A stream
+  /// backend (TCP) only queues the frame: it leaves at the sender's next
+  /// poll(), and RtNode::pump always ends with one after its last send. The
+  /// pipe and UDP backends hand the frame over at once.
   virtual bool send(const WireMsg& m) = 0;
 
   /// Non-blocking receive for node `self`. False when nothing is ready.
@@ -215,7 +218,6 @@ class UdpTransport final : public RtTransport {
   /// Real socket-level send failures after the bounded retry — never mixed
   /// into the injected-fault accounting.
   [[nodiscard]] std::uint64_t send_errors() const { return send_errors_; }
-  [[nodiscard]] std::uint64_t send_retries() const { return send_retries_; }
   /// Chaos-injected bit flips (applied to the encoded datagram before it
   /// hits the socket).
   [[nodiscard]] std::uint64_t corrupted() const override { return corrupted_; }
@@ -237,7 +239,6 @@ class UdpTransport final : public RtTransport {
   std::uint64_t received_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t send_errors_ = 0;
-  std::uint64_t send_retries_ = 0;
   std::uint64_t corrupted_ = 0;
   std::uint64_t rejected_ = 0;
 };

@@ -3,7 +3,7 @@
 namespace gcs {
 
 namespace {
-LogLevel g_level = LogLevel::kWarn;
+constexpr LogLevel kThreshold = LogLevel::kWarn;
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -18,8 +18,7 @@ const char* level_name(LogLevel level) {
 }
 }  // namespace
 
-LogLevel log_level() { return g_level; }
-void set_log_level(LogLevel level) { g_level = level; }
+LogLevel log_level() { return kThreshold; }
 
 namespace detail {
 void log_emit(LogLevel level, const std::string& msg) {

@@ -1,5 +1,5 @@
-// Tiny leveled logger. Off by default above WARN to keep benches quiet;
-// tests and examples can raise verbosity.
+// Tiny leveled logger. Messages below WARN are dropped to keep benches
+// quiet.
 #pragma once
 
 #include <iostream>
@@ -12,7 +12,6 @@ enum class LogLevel { kTrace = 0, kDebug = 1, kInfo = 2, kWarn = 3, kError = 4, 
 
 /// Global log threshold; messages below it are dropped.
 LogLevel log_level();
-void set_log_level(LogLevel level);
 
 namespace detail {
 void log_emit(LogLevel level, const std::string& msg);

@@ -99,10 +99,16 @@ TEST(Insertion, LevelMembershipFollowsLogicalClock) {
       const double ts = info->insertion_time(level);
       const bool member = s.aopt(0).edge_in_level(2, level);
       const double fuzz = 1e-6;
-      if (l >= ts + fuzz) EXPECT_TRUE(member) << "level " << level << " L=" << l;
-      if (l <= ts - fuzz) EXPECT_FALSE(member) << "level " << level << " L=" << l;
+      if (l >= ts + fuzz) {
+        EXPECT_TRUE(member) << "level " << level << " L=" << l;
+      }
+      if (l <= ts - fuzz) {
+        EXPECT_FALSE(member) << "level " << level << " L=" << l;
+      }
       // Lemma 5.1 nesting: membership at level s implies membership at s-1.
-      if (level > 1 && member) EXPECT_TRUE(s.aopt(0).edge_in_level(2, level - 1));
+      if (level > 1 && member) {
+        EXPECT_TRUE(s.aopt(0).edge_in_level(2, level - 1));
+      }
     }
   }
   // Fully inserted now.
@@ -121,8 +127,12 @@ TEST(Insertion, EdgeLossDuringHandshakeCancelsInsertion) {
   const auto a = s.aopt(0).peer_info(2);
   const auto b = s.aopt(2).peer_info(0);
   // Both sides must end with T_s = ⊥ (Lemma 5.5 II/III).
-  if (a.has_value()) EXPECT_EQ(a->t0, kTimeInf);
-  if (b.has_value()) EXPECT_EQ(b->t0, kTimeInf);
+  if (a.has_value()) {
+    EXPECT_EQ(a->t0, kTimeInf);
+  }
+  if (b.has_value()) {
+    EXPECT_EQ(b->t0, kTimeInf);
+  }
   EXPECT_FALSE(s.aopt(0).edge_in_level(2, 1));
   EXPECT_FALSE(s.aopt(2).edge_in_level(0, 1));
 }

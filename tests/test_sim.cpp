@@ -576,7 +576,7 @@ TEST(MessageArena, GenerationTagGuardsSlotReuse) {
   EXPECT_NE(ref1, ref2);
   EXPECT_FALSE(arena.valid(ref1));
   ASSERT_TRUE(arena.valid(ref2));
-  EXPECT_THROW(arena.get(ref1), std::runtime_error);
+  EXPECT_THROW((void)arena.get(ref1), std::runtime_error);
   EXPECT_NE(std::get_if<InsertEdgeMsg>(&arena.get(ref2)), nullptr);
 }
 
