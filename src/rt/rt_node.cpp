@@ -84,10 +84,10 @@ Time RtNode::pump() {
       handle_ingress(m);
       work = true;
     }
-    const std::uint64_t polled_after = egress_;
+    const std::uint64_t egress_at_last_poll = egress_;
     if (detector_ && apply_liveness(sim.now())) work = true;
     if (work) sim.run_until(sim.now());
-    if (egress_ == polled_after) break;
+    if (egress_ == egress_at_last_poll) break;
   }
   return sim.now();
 }
